@@ -189,7 +189,11 @@ def stack_dictionaries(dicts: list[SegmentDictionary]) -> StackedDictionary:
 
 @dataclass(frozen=True)
 class SparseCodeMatrix:
-    """k x phi sparse codes plus the regularizer that produced them."""
+    """k x phi sparse codes plus the regularizer that produced them.
+
+    A small regularizer can make every code dense; that is still a valid
+    lasso solution, so density is not checked.
+    """
 
     codes: np.ndarray
     lam: float
@@ -199,12 +203,6 @@ class SparseCodeMatrix:
         object.__setattr__(self, "codes", arr)
         if self.lam <= 0:
             raise ValueError("lam must be positive")
-        k = arr.shape[0]
-        avg_nnz = np.count_nonzero(arr) / arr.shape[1]
-        if avg_nnz >= k:
-            raise ValueError(
-                f"codes are not sparse: average {avg_nnz:.2f} nonzeros per column "
-                f"with k={k}")
 
     @property
     def k(self) -> int:

@@ -211,6 +211,12 @@ def smo_train(features, labels, c_penalty: float, gamma: float,
         warnings.warn("SMO hit max_sweeps before satisfying the KKT conditions",
                       ConvergenceWarning, stacklevel=2)
 
+    # pair updates can leave an alpha an ulp off its bound; counted as free,
+    # it would pull the bias average onto a sample that does not set it
+    snap = 1e-12 * C
+    alpha[alpha <= snap] = 0.0
+    alpha[alpha >= C - snap] = C
+
     # final bias: average over free support vectors, else the midpoint of
     # the interval the bound constraints leave feasible
     g = (alpha * y) @ K

@@ -291,6 +291,12 @@ def _train_one(segments: np.ndarray, cfg: TrainConfig, segment_index: int,
     flat_streak = 0
     for it in range(cfg.outer_iters):
         codes = batch_encode(dictionary.atoms, segments, opts)
+        if not codes.any():
+            lam_max = float(np.abs(dictionary.atoms.T @ segments).max())
+            raise InsufficientDataError(
+                f"every code is zero at lambda={cfg.lam:.6g}: lambda must "
+                f"stay below lambda_max={lam_max:.6g}, the largest "
+                f"|d_k^T y| over the {segments.shape[1]} training columns")
         dictionary, _ = lagrange_dual_update(codes, segments, cfg,
                                              segment_index, rng=rng)
         obj = coding_objective(dictionary.atoms, segments, codes, cfg.lam)

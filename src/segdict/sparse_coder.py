@@ -11,6 +11,20 @@ optimality conditions
     x_k == 0:  |grad_k| <= lam + opt_tol
 
 where grad = D^T (D x - y).
+
+One core solves every column.  batch_encode takes the columns in fixed
+blocks of _BLOCK and runs feature-sign search on a block in lockstep: each
+round applies the next step of the method to every unfinished column of
+the block at once.  The gram D^T D is formed once per call, the
+sign-constrained systems of a round are one stack of k x k systems with
+identity rows on the inactive coordinates, and all line-search candidates
+of the block are scored together.  Every per-column product is its own
+item of a stacked ``np.matmul`` or of a batched ``np.linalg`` call, never
+one product over the block, so a column's code is bit for bit the same
+whichever columns share its block; feature_sign_solve is the one-column
+case.  A column that stalls (its line search cannot decrease the
+objective) or reaches max_iter keeps its last iterate, and each call warns
+once per kind of stop with the number of such columns and the first one.
 """
 
 from __future__ import annotations
@@ -21,10 +35,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .errors import ConvergenceWarning, SegdictError, SingularActiveSetError
+from .errors import ConvergenceWarning, SingularActiveSetError
 
 _PIVOT_RTOL = 1e-12
 _RIDGE_SCALE = 1e-10
+_BLOCK = 256                 # columns solved in lockstep; bounds the temporaries
+_CONVERGED, _STALLED, _MAX_ITER = range(3)
 
 
 @dataclass(frozen=True)
@@ -100,106 +116,208 @@ def _solve_active(A: np.ndarray, b: np.ndarray) -> np.ndarray:
                 f"rank-deficient active set of size {A.shape[0]}") from exc
 
 
-def feature_sign_solve(D, y, opts: SolverOptions | None = None) -> np.ndarray:
-    """Solve one lasso instance; columns of D are the dictionary atoms."""
+def _validated(D, Y) -> tuple[np.ndarray, np.ndarray]:
     D = np.asarray(D, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    if opts is None:
-        opts = SolverOptions()
+    Y = np.asarray(Y, dtype=float)
     if D.ndim != 2:
         raise ValueError(f"D must be 2-D, got shape {D.shape}")
-    d, k = D.shape
-    if y.shape[0] != d:
-        raise ValueError(f"y has length {y.shape[0]}, expected {d}")
-    if not (np.isfinite(D).all() and np.isfinite(y).all()):
-        raise ValueError("D and y must be finite")
+    if Y.ndim != 2:
+        raise ValueError(f"Y must be 2-D, got shape {Y.shape}")
+    if Y.shape[0] != D.shape[0]:
+        raise ValueError(f"y has {Y.shape[0]} rows, D has {D.shape[0]}")
+    if not np.isfinite(D).all():
+        raise ValueError("D must be finite")
+    bad = np.flatnonzero(~np.isfinite(Y).all(axis=0))
+    if bad.size:
+        raise ValueError(f"column {bad[0]}: y must be finite")
     if np.any(np.linalg.norm(D, axis=0) == 0.0):
         raise ValueError("every dictionary column must have nonzero norm")
+    return D, Y
 
-    lam, tol = opts.lam, opts.opt_tol
-    DtD = D.T @ D
-    Dty = D.T @ y
-    yty = float(y @ y)
 
-    def objective(xv: np.ndarray) -> float:
-        return (0.5 * float(xv @ (DtD @ xv)) - float(Dty @ xv)
-                + 0.5 * yty + lam * float(np.abs(xv).sum()))
+def feature_sign_solve(D, y, opts: SolverOptions | None = None) -> np.ndarray:
+    """Solve one lasso instance; columns of D are the dictionary atoms.
 
-    x = np.zeros(k)
-    theta = np.zeros(k)
-    active = np.zeros(k, dtype=bool)
-    cur_obj = 0.5 * yty
-    converged = False
-
-    for _ in range(opts.max_iter):
-        grad = DtD @ x - Dty
-        act = np.flatnonzero(active)
-        if act.size == 0 or np.all(np.abs(grad[act] + lam * theta[act]) <= tol):
-            inact = np.flatnonzero(~active)
-            if inact.size == 0 or np.abs(grad[inact]).max() <= lam + tol:
-                converged = True
-                break
-            # activate the worst violator, sign set against the gradient;
-            # ties go to the lowest index (argmax returns the first maximum)
-            mu = int(inact[int(np.argmax(np.abs(grad[inact])))])
-            active[mu] = True
-            theta[mu] = -np.sign(grad[mu])
-
-        sigma = np.flatnonzero(active)
-        x_new = _solve_active(DtD[np.ix_(sigma, sigma)],
-                              Dty[sigma] - lam * theta[sigma])
-        x_old = x[sigma]
-        delta = x_new - x_old
-
-        # candidate steps: the full step plus every sign crossing in (0, 1)
-        candidates: list[tuple[float, np.ndarray]] = [
-            (1.0, np.flatnonzero(x_new == 0.0))]
-        crossing = (x_old != 0.0) & (np.sign(x_new) != np.sign(x_old))
-        for i in np.flatnonzero(crossing):
-            t = x_old[i] / (x_old[i] - x_new[i])
-            if 0.0 < t < 1.0:
-                candidates.append((float(t), np.array([i])))
-
-        best_obj = None
-        best_x = x
-        for t, zeroed in candidates:
-            cand = x.copy()
-            cand[sigma] = x_old + t * delta
-            cand[sigma[zeroed]] = 0.0
-            obj = objective(cand)
-            if best_obj is None or obj < best_obj:
-                best_obj, best_x = obj, cand
-        if best_obj > cur_obj + 1e-12 * max(1.0, abs(cur_obj)):
-            break  # numerically stalled at the current tolerance
-        assert best_obj <= cur_obj + 1e-9, "line search increased the objective"
-        x = best_x
-        cur_obj = best_obj
-        active = x != 0.0
-        theta = np.sign(x)
-
-    if not converged:
-        warnings.warn("feature-sign search hit max_iter before optimality",
-                      ConvergenceWarning, stacklevel=2)
-    return x
+    This is batch_encode on a single column."""
+    y = np.asarray(y, dtype=float).ravel()
+    D, Y = _validated(D, y[:, None])
+    return _encode(D, Y, opts or SolverOptions())[:, 0]
 
 
 def batch_encode(D, Y, opts: SolverOptions | None = None) -> np.ndarray:
     """Encode every column of Y independently; column i of the result is
-    feature_sign_solve(D, Y[:, i])."""
-    D = np.asarray(D, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    if Y.ndim != 2:
-        raise ValueError(f"Y must be 2-D, got shape {Y.shape}")
-    if opts is None:
-        opts = SolverOptions()
-    k, n = D.shape[1], Y.shape[1]
-    X = np.empty((k, n))
-    for i in range(n):
-        try:
-            X[:, i] = feature_sign_solve(D, Y[:, i], opts)
-        except (SegdictError, ValueError) as exc:
-            raise type(exc)(f"column {i}: {exc}") from exc
+    feature_sign_solve(D, Y[:, i]), bit for bit."""
+    D, Y = _validated(D, Y)
+    return _encode(D, Y, opts or SolverOptions())
+
+
+def _encode(D: np.ndarray, Y: np.ndarray, opts: SolverOptions) -> np.ndarray:
+    """Solve every column in blocks of _BLOCK; warn once per bad outcome."""
+    n = Y.shape[1]
+    G = D.T @ D
+    X = np.empty((D.shape[1], n))
+    outcome = np.empty(n, dtype=int)
+    for start in range(0, n, _BLOCK):
+        cols = slice(start, min(start + _BLOCK, n))
+        X[:, cols], outcome[cols] = _solve_block(D, G, Y[:, cols], opts,
+                                                 start)
+    for kind, what in (
+            (_STALLED, "stalled (the line search could not decrease the "
+                       "objective)"),
+            (_MAX_ITER, f"hit max_iter={opts.max_iter} before optimality")):
+        hit = np.flatnonzero(outcome == kind)
+        if hit.size:
+            warnings.warn(f"feature-sign search {what} on {hit.size} of {n} "
+                          f"columns (first: column {hit[0]})",
+                          ConvergenceWarning, stacklevel=3)
     return X
+
+
+def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray,
+                 opts: SolverOptions, first: int
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-sign search in lockstep on the columns of Y.
+
+    Arrays hold one row per column.  Each round takes every unfinished
+    column through one step of the single-column method; columns that meet
+    the optimality conditions, or whose line search cannot decrease the
+    objective, leave the round set.  Returns the k x m codes and each
+    column's outcome.
+    """
+    lam, tol = opts.lam, opts.opt_tol
+    Yr = np.ascontiguousarray(Y.T)
+    m, k = Yr.shape[0], G.shape[0]
+    Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
+    yty = np.matmul(Yr[:, None, :], Yr[:, :, None])[:, 0, 0]
+    X = np.zeros((m, k))
+    cur = 0.5 * yty
+    outcome = np.full(m, _MAX_ITER)
+    todo = np.arange(m)
+    for _ in range(opts.max_iter):
+        x = X[todo]
+        active = x != 0.0
+        theta = np.sign(x)
+        grad = np.matmul(x[:, None, :], G)[:, 0, :] - Dty[todo]
+        # once the active set is optimal, activate the worst violator with
+        # its sign set against the gradient; ties go to the lowest index
+        # (argmax returns the first maximum)
+        settled = np.all(~active | (np.abs(grad + lam * theta) <= tol),
+                         axis=1)
+        viol = np.where(active, -1.0, np.abs(grad))
+        done = settled & (viol.max(axis=1) <= lam + tol)
+        add = np.flatnonzero(settled & ~done)
+        mu = np.argmax(viol[add], axis=1)
+        active[add, mu] = True
+        theta[add, mu] = -np.sign(grad[add, mu])
+        outcome[todo[done]] = _CONVERGED
+        step = ~done
+        todo, x, active, theta = todo[step], x[step], active[step], theta[step]
+        if todo.size == 0:
+            break
+        x_new = _solve_active_sets(G, active, Dty[todo] - lam * theta,
+                                   first + todo)
+        best, obj = _line_search(G, x, x_new, Dty[todo], yty[todo], lam)
+        # stalled: no candidate decreases the objective at this tolerance
+        stalled = obj > cur[todo] + 1e-12 * np.maximum(1.0, np.abs(cur[todo]))
+        outcome[todo[stalled]] = _STALLED
+        todo, best, obj = todo[~stalled], best[~stalled], obj[~stalled]
+        X[todo] = best
+        cur[todo] = obj
+    return X.T, outcome
+
+
+def _solve_active_sets(G: np.ndarray, active: np.ndarray, b: np.ndarray,
+                       cols: np.ndarray) -> np.ndarray:
+    """Per row r, x[r] solving G[a, a] x[a] = b[r, a] on a = active[r] and
+    zero elsewhere: one stack of k x k systems padded with identity rows.
+
+    Rows whose padded factorization fails or whose active pivots fail the
+    test of _solve_spd go through _solve_active and its ridge retry; `cols`
+    names the column of each row in errors.
+    """
+    k = G.shape[0]
+    rhs = np.where(active, b, 0.0)
+    L, ok = _factor(np.where(active[:, :, None] & active[:, None, :], G,
+                             np.eye(k)), active)
+    x = np.zeros_like(rhs)
+    x[ok] = _cholesky_solve(L if ok.all() else L[ok], rhs[ok])
+    for r in np.flatnonzero(~ok):
+        sigma = np.flatnonzero(active[r])
+        try:
+            x[r, sigma] = _solve_active(G[np.ix_(sigma, sigma)], rhs[r, sigma])
+        except SingularActiveSetError as exc:
+            raise SingularActiveSetError(f"column {cols[r]}: {exc}") from exc
+    return np.where(active, x, 0.0)
+
+
+def _factor(A: np.ndarray, active: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Lower Cholesky factors of stacked systems, and per system whether
+    the factor exists and its squared pivots on the active coordinates stay
+    within _PIVOT_RTOL of each other."""
+    try:
+        L = np.linalg.cholesky(A)
+    except LinAlgError:
+        if len(A) == 1:
+            return np.zeros_like(A), np.zeros(1, dtype=bool)
+        parts = [_factor(A[i:i + 1], active[i:i + 1]) for i in range(len(A))]
+        return (np.concatenate([L for L, _ in parts]),
+                np.concatenate([ok for _, ok in parts]))
+    piv = np.diagonal(L, axis1=1, axis2=2) ** 2
+    lo = np.where(active, piv, np.inf).min(axis=1)
+    hi = np.where(active, piv, 0.0).max(axis=1)
+    return L, ~(lo < _PIVOT_RTOL * hi)
+
+
+def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solve L L^T x = b for stacked factors by forward and back
+    substitution, each row's sums a stacked matmul of its own.
+
+    This reuses the factor the pivot test needs; np.linalg.solve would
+    factor every system again, by LU, at twice the cost here."""
+    k = b.shape[1]
+    z = np.empty_like(b)
+    for i in range(k):
+        dot = np.matmul(L[:, i, None, :i], z[:, :i, None])[:, 0, 0]
+        z[:, i] = (b[:, i] - dot) / L[:, i, i]
+    x = np.empty_like(b)
+    for i in range(k - 1, -1, -1):
+        dot = np.matmul(L[:, None, i + 1:, i], x[:, i + 1:, None])[:, 0, 0]
+        x[:, i] = (z[:, i] - dot) / L[:, i, i]
+    return x
+
+
+def _line_search(G: np.ndarray, x: np.ndarray, x_new: np.ndarray,
+                 Dty: np.ndarray, yty: np.ndarray, lam: float
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Best point, and its objective, among the full step from x to x_new
+    and the sign crossings in (0, 1) on the way, taken in that order with
+    the first minimum winning.
+
+    Every row gets k + 1 candidate slots, the unused ones scored +inf, so
+    the arrays have the same shape whichever columns share the block.
+    """
+    s, k = x.shape
+    delta = x_new - x
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = x / (x - x_new)
+    crossing = ((x != 0.0) & (np.sign(x_new) != np.sign(x))
+                & (0.0 < t) & (t < 1.0))
+    T = np.concatenate([np.ones((s, 1)), np.where(crossing, t, 0.0)], axis=1)
+    P = T[:, :, None] * delta[:, None, :]
+    P += x[:, None, :]
+    P[:, 0][x_new == 0.0] = 0.0        # the full step keeps exact zeros
+    idx = np.arange(k)
+    P[:, 1 + idx, idx] = 0.0           # a crossing lands on zero
+    PG = np.matmul(P, G)
+    quad = np.matmul(PG[:, :, None, :], P[:, :, :, None])[..., 0, 0]
+    lin = np.matmul(P, Dty[:, :, None])[..., 0]
+    l1 = np.matmul(np.abs(P, out=PG), np.ones(k))
+    obj = 0.5 * quad - lin + 0.5 * yty[:, None] + lam * l1
+    obj[:, 1:][~crossing] = np.inf
+    rows = np.arange(s)
+    pick = np.argmin(obj, axis=1)
+    return P[rows, pick], obj[rows, pick]
 
 
 def coding_objective(D, Y, X, lam: float) -> float:

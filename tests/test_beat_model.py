@@ -117,12 +117,13 @@ def test_segment_dictionary_norm_bounds():
     SegmentDictionary(np.array([[1.0 + 5e-7]]), 1)  # within slack
 
 
-def test_sparse_code_matrix_requires_sparsity():
+def test_sparse_code_matrix_accepts_dense_codes():
     codes = np.zeros((4, 3))
     codes[0, 0] = 1.0
     m = SparseCodeMatrix(codes, 0.1)
     assert m.k == 4 and m.count == 3
-    with pytest.raises(ValueError):
-        SparseCodeMatrix(np.ones((2, 2)), 0.1)
+    # every code nonzero is a valid lasso solution at a small regularizer
+    dense = SparseCodeMatrix(np.ones((2, 2)), 1e-5)
+    assert dense.k == 2 and dense.count == 2
     with pytest.raises(ValueError):
         SparseCodeMatrix(codes, 0.0)

@@ -109,6 +109,21 @@ def test_dual_objective_non_increasing_across_pair_updates():
     assert np.all(np.diff(np.array(objectives)) <= 1e-12)
 
 
+def test_final_bias_treats_alpha_one_ulp_below_c_as_bound():
+    # on this set the pair updates leave one alpha at 0.12499999999999999,
+    # one ulp below C; counted as free, it alone would set the bias
+    rng = np.random.default_rng(6)
+    X = rng.normal(size=(2, 12))
+    y = np.array([1.0] * 6 + [-1.0] * 6)
+    C, tol = 0.125, 1e-3
+    seen = []
+    m = smo_train(X, y, C, 0.25, tol=tol,
+                  on_step=lambda alpha, b: seen.append(alpha))
+    assert np.any(seen[-1] == np.nextafter(C, 0.0))
+    assert m.converged
+    assert kkt_violations(m, X, y).max() <= tol
+
+
 def test_smo_rejects_single_class():
     with pytest.raises(SingleClassError):
         smo_train(np.ones((1, 3)), np.ones(3), 1.0, 1.0)

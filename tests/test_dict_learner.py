@@ -3,13 +3,15 @@
 import numpy as np
 import pytest
 
-from segdict.beat_model import BeatMatrix, SegmentSpec
-from segdict.dict_learner import (DualState, TrainConfig, _train_one,
-                                  dual_objective, encode_beats,
+from segdict.beat_model import BeatMatrix, SegmentSpec, segment_view
+from segdict.dict_learner import (DualState, TrainConfig, _init_atoms,
+                                  _train_one, dual_objective, encode_beats,
                                   init_dictionary, lagrange_dual_update,
                                   train_segment_dictionaries)
 from segdict.errors import InsufficientDataError
+from segdict.ingest import normalize_beat
 from segdict.sparse_coder import kkt_violation
+from segdict.synthetic import generate_planted_dataset
 
 from oracles import constrained_lsq_pg, lagrangian_min_gd
 
@@ -259,6 +261,37 @@ def test_encode_beats_zero_code_when_lambda_large():
     lam_big = float(np.abs(stacked.T @ beats.samples).max()) + 1.0
     codes = encode_beats(beats, dicts, lam_big)
     assert np.all(codes.codes == 0.0)
+
+
+def planted_hundred():
+    labels, raw = generate_planted_dataset(beats_per_class=25, seed=0)
+    samples = np.column_stack([normalize_beat(raw[:, i])
+                               for i in range(raw.shape[1])])
+    return BeatMatrix(samples, labels), SegmentSpec.equal(200, 4)
+
+
+def test_encode_beats_accepts_dense_codes_at_small_lambda():
+    beats, spec = planted_hundred()
+    cfg = TrainConfig(k=16, lam=1e-5, outer_iters=5, seed=0)
+    dicts = train_segment_dictionaries(beats, spec, cfg, np.arange(100))
+    codes = encode_beats(beats, dicts, 1e-5)
+    assert np.count_nonzero(codes.codes) == codes.codes.size
+
+
+def test_lambda_at_lambda_max_names_both():
+    beats, spec = planted_hundred()
+    cfg = TrainConfig(k=16, lam=0.6, outer_iters=5, seed=0)
+    # segment 1 codes against its initial atoms first
+    segments = segment_view(beats, spec, 1)
+    atoms = _init_atoms(segments, 16, np.random.default_rng([0, 1]))
+    lam_max = float(np.abs(atoms.T @ segments).max())
+    assert lam_max <= 0.6
+    with pytest.raises(InsufficientDataError) as info:
+        train_segment_dictionaries(beats, spec, cfg, np.arange(100))
+    message = str(info.value)
+    assert message.startswith("segment 1:")
+    assert "lambda=0.6:" in message
+    assert f"lambda_max={lam_max:.6g}," in message
 
 
 def test_dominant_entry_for_beat_equal_to_stacked_atom():

@@ -1,9 +1,12 @@
 """Feature-sign solver tests: closed forms, KKT certificates, brute force."""
 
+import warnings
+
 import numpy as np
 import pytest
 
-from segdict.errors import SingularActiveSetError
+from segdict import sparse_coder
+from segdict.errors import ConvergenceWarning, SingularActiveSetError
 from segdict.sparse_coder import (FeatureSignState, SolverOptions, batch_encode,
                                   coding_objective, feature_sign_solve,
                                   kkt_violation)
@@ -138,6 +141,87 @@ def test_batch_equals_sequential():
     X = batch_encode(D, Y, opts)
     for i in range(5):
         assert np.array_equal(X[:, i], feature_sign_solve(D, Y[:, i], opts))
+
+
+def test_batch_across_blocks_equals_single_solves():
+    rng = np.random.default_rng(31)
+    D, _ = random_instance(rng, 12, 10)
+    n = 2 * sparse_coder._BLOCK + 3
+    Y = rng.normal(size=(12, n))
+    opts = SolverOptions(lam=0.05)
+    X = batch_encode(D, Y, opts)
+    for i in range(n):
+        assert np.array_equal(X[:, i], feature_sign_solve(D, Y[:, i], opts))
+
+
+def test_rank_deficient_column_among_ordinary_columns(monkeypatch):
+    # column 7 is the a3 = 0.7*(a1 + a2) case: its active set is singular,
+    # so it leaves the stacked solve for the ridge retry of _solve_active
+    D = np.array([[1.0, 0.0, 0.7], [0.0, 1.0, 0.7]])
+    rng = np.random.default_rng(8)
+    Y = 3.0 * rng.normal(size=(2, 20))
+    Y[:, 7] = [3.0, 3.0]
+    lam = 0.1
+    calls = []
+    solve_active = sparse_coder._solve_active
+
+    def spy(A, b):
+        calls.append(A.shape[0])
+        return solve_active(A, b)
+
+    monkeypatch.setattr(sparse_coder, "_solve_active", spy)
+    X = batch_encode(D, Y, SolverOptions(lam=lam))
+    assert calls
+    for i in range(20):
+        assert kkt_violation(D, Y[:, i], X[:, i], lam) <= 1e-6
+
+
+def test_singular_failure_names_its_column(monkeypatch):
+    # a pivot ratio that no factorization can meet fails the stacked solve
+    # and the ridge retry alike
+    monkeypatch.setattr(sparse_coder, "_PIVOT_RTOL", 2.0)
+    rng = np.random.default_rng(4)
+    D, _ = random_instance(rng, 5, 6)
+    Y = np.zeros((5, sparse_coder._BLOCK + 60))
+    Y[:, 300] = rng.normal(size=5)
+    with pytest.raises(SingularActiveSetError, match="column 300"):
+        batch_encode(D, Y, SolverOptions(lam=0.01))
+
+
+def warning_messages(fn, *args):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        fn(*args)
+    return [str(w.message) for w in caught
+            if issubclass(w.category, ConvergenceWarning)]
+
+
+def test_warnings_count_stalled_and_max_iter_columns():
+    # two nearly equal atoms and large data: some line searches cannot
+    # decrease the objective at the relative tolerance of the stall test
+    rng = np.random.default_rng(1)
+    D = rng.normal(size=(6, 3))
+    D[:, 1] = D[:, 0] + 3e-5 * rng.normal(size=6)
+    D /= np.linalg.norm(D, axis=0)
+    Y = 60.0 * rng.normal(size=(6, 40))
+    opts = SolverOptions(lam=4e-4)
+    single = ("feature-sign search stalled (the line search could not "
+              "decrease the objective) on 1 of 1 columns (first: column 0)")
+    alone = [warning_messages(feature_sign_solve, D, Y[:, i], opts)
+             for i in range(40)]
+    stalled = [i for i, caught in enumerate(alone) if caught == [single]]
+    assert stalled
+    assert all(caught in ([], [single]) for caught in alone)
+    assert warning_messages(batch_encode, D, Y, opts) == [
+        "feature-sign search stalled (the line search could not decrease "
+        f"the objective) on {len(stalled)} of 40 columns "
+        f"(first: column {stalled[0]})"]
+
+    Y[:, :2] = 0.0   # optimal at the start, before any step
+    assert warning_messages(batch_encode, D, Y,
+                            SolverOptions(lam=4e-4, max_iter=1)) == [
+        "feature-sign search hit max_iter=1 before optimality on 38 of 40 "
+        "columns (first: column 2)"]
 
 
 def test_batch_error_carries_column_index():
