@@ -25,10 +25,16 @@ class VqCodebook:
             raise ShapeMismatchError("centers must be d x k")
         if not np.isfinite(arr).all():
             raise ValueError("centers must be finite")
-        for a in range(arr.shape[1]):
-            for b in range(a + 1, arr.shape[1]):
-                if np.array_equal(arr[:, a], arr[:, b]):
-                    raise ValueError(f"duplicate centers {a} and {b}")
+        _, first, group = np.unique(arr, axis=1, return_index=True,
+                                    return_inverse=True)
+        head = first[group]         # the first center equal to each center
+        later = np.flatnonzero(head != np.arange(arr.shape[1]))
+        if later.size:
+            # name the pair a pairwise scan meets first: the smallest a
+            # with an equal center after it, then the first such b
+            a = head[later].min()
+            b = later[head[later] == a][0]
+            raise ValueError(f"duplicate centers {a} and {b}")
 
     @property
     def k(self) -> int:

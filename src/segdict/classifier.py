@@ -5,18 +5,18 @@ Binary machines solve the box-constrained dual
     min_a 0.5 * sum_ij y_i y_j a_i a_j K(z_i, z_j) - sum_i a_i
     s.t.  sum_i a_i y_i = 0,  0 <= a_i <= C
 
-with pairwise analytic updates; the working pair is the maximal KKT
-violator matched with the sample of largest |E_i - E_j|, alternating full
-passes with passes over the free (0 < a < C) set.  Multi-class decisions
-use one-vs-one majority voting.  Hyperparameters come from a stratified
-cross-validated grid search.
+by LIBSVM's clipped pair updates with second-order working-set selection
+(Fan, Chen & Lin, JMLR 6, 2005).  One core solves a padded batch of such
+problems in lockstep with elementwise numpy operations, so a machine's
+duals do not depend on its batch: a single machine, the class pairs of a
+one-vs-one (majority vote) model, or the folds x pairs of a grid cell.
 """
 
 from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 import numpy as np
 
@@ -89,15 +89,114 @@ def decision_values(machine: TrainedSvm, Z) -> np.ndarray:
     return machine.alphas @ K + machine.bias
 
 
+def _pair_step(ai, aj, gi, gj, same, quad, c):
+    """LIBSVM's two-variable update, clipped to the box [0, c]."""
+    def clip(k, ni, nj, vi, vj):    # (vi, vj) where k holds, else (ni, nj)
+        return np.where(k, vi, ni), np.where(k, vj, nj)
+    # labels differ: a_i - a_j stays fixed
+    d, delta = ai - aj, (-gi - gj) / quad
+    pi, pj, pos = ai + delta, aj + delta, d > 0
+    pi, pj = clip(pos & (pj < 0), pi, pj, d, 0.0)
+    pi, pj = clip(~pos & (pi < 0), pi, pj, 0.0, -d)
+    pi, pj = clip(pos & (pi > c), pi, pj, c, c - d)
+    pi, pj = clip(~pos & (pj > c), pi, pj, c + d, c)
+    # labels agree: a_i + a_j stays fixed
+    s, delta = ai + aj, (gi - gj) / quad
+    qi, qj, over = ai - delta, aj + delta, s > c
+    qi, qj = clip(over & (qi > c), qi, qj, c, s - c)
+    qi, qj = clip(~over & (qj < 0), qi, qj, s, 0.0)
+    qi, qj = clip(over & (qj > c), qi, qj, s - c, c)
+    qi, qj = clip(~over & (qi < 0), qi, qj, 0.0, s)
+    return np.where(same, qi, pi), np.where(same, qj, pj)
+
+
+def _smo_batch(K, idx, y, C, gamma, pairs, tol, max_sweeps=500,
+               on_step=None):
+    """Solve P padded binary duals in lockstep -> (alpha, bias, converged).
+
+    Problem p has kernel K[idx[p]][:, idx[p]], labels y[p] (+/-1, then 0
+    as padding), box C, at most max_sweeps updates per sample, and the
+    name pairs[p] in the warning.  on_step(alpha, bias estimate) is called
+    after every update of a one-problem batch."""
+    if C <= 0:
+        raise ValueError("c_penalty must be positive")
+    rows, diag = np.arange(y.shape[0]), K.diagonal()[idx]
+    alpha, G = np.zeros(y.shape), -np.abs(y)   # G: gradient of the dual
+    steps, cap = 0, max_sweeps * np.count_nonzero(y, axis=1)
+    while True:
+        v = -y * G
+        # padding has alpha = 0, so it is in neither index set
+        vu = np.where(np.where(y > 0, alpha < C, alpha > 0), v, -np.inf)
+        low = np.where(y < 0, alpha < C, alpha > 0)
+        i = vu.argmax(1)
+        top, bottom = vu[rows, i], np.where(low, v, np.inf).min(1)
+        if on_step is not None and steps:
+            on_step(alpha[0].copy(), 0.5 * float(top[0] + bottom[0]))
+        converged = top - bottom <= 0.9 * tol  # margin for the final bias
+        act = ~converged & (steps < cap)
+        if not act.any():
+            break
+        Ki = K[idx[rows, i][:, None], idx]
+        quad = Ki[rows, i][:, None] + diag - 2.0 * Ki
+        quad[quad <= 0] = 1e-12     # LIBSVM's curvature floor, tau
+        gain = top[:, None] - v
+        j = np.where(low & (v < top[:, None]), -(gain * gain) / quad,
+                     np.inf).argmin(1)
+        Kj = K[idx[rows, j][:, None], idx]
+        ai, aj = alpha[rows, i], alpha[rows, j]
+        yi, yj = y[rows, i], y[rows, j]
+        ni, nj = _pair_step(ai, aj, G[rows, i], G[rows, j], yi == yj,
+                            quad[rows, j], C)
+        # finished problems keep their duals, so their gradient is unchanged
+        ni, nj = np.where(act, ni, ai), np.where(act, nj, aj)
+        G += y * ((yi * (ni - ai))[:, None] * Ki
+                  + (yj * (nj - aj))[:, None] * Kj)
+        alpha[rows, i], alpha[rows, j] = ni, nj
+        steps += 1
+    if not converged.all():
+        p = np.argmin(converged)
+        warnings.warn(f"SMO hit max_sweeps before satisfying the KKT "
+                      f"conditions on {np.sum(~converged)} of {rows.size} "
+                      f"machines (first: pair {pairs[p]}, C={C:g}, "
+                      f"gamma={gamma:g})", ConvergenceWarning, stacklevel=3)
+    # final bias: alphas an ulp off a bound go onto it (counted as free,
+    # they would pull the mean onto samples that do not set it), then the
+    # mean of y - g over free SVs (g = y * (G + 1)), else the midpoint of
+    # the interval the bound samples leave feasible
+    alpha[alpha <= 1e-12 * C] = 0.0
+    alpha[alpha >= C - 1e-12 * C] = C
+    resid = y - y * (G + 1.0)
+    free = (alpha > 0) & (alpha < C)
+    count = free.sum(1)
+    # cumsum adds in sample order, so padding cannot change the sum's bits
+    mean = np.where(free, resid, 0.0).cumsum(1)[:, -1] / np.maximum(count, 1)
+    lower = (y != 0) & ((alpha == 0) == (y > 0))
+    lo = np.where(lower, resid, -np.inf).max(1)
+    hi = np.where((y != 0) & ~lower, resid, np.inf).min(1)
+    lo, hi = np.where(np.isinf(lo), hi, lo), np.where(np.isinf(hi), lo, hi)
+    return alpha, np.where(count > 0, mean, 0.5 * (lo + hi)), converged
+
+
+def _train(X, idx, y, C, gamma, pairs, tol, max_sweeps=500,
+           on_step=None) -> list[TrainedSvm]:
+    """One batch on the columns of X; sv_indices count within a problem."""
+    alpha, bias, ok = _smo_batch(rbf_gram(X, X, gamma), idx, y, C, gamma,
+                                 pairs, tol, max_sweeps, on_step)
+    svs = [np.flatnonzero(a > 0) for a in alpha]
+    return [TrainedSvm(X[:, idx[p, sv]], alpha[p, sv] * y[p, sv],
+                       float(bias[p]), float(gamma), float(C), pair, sv,
+                       bool(ok[p]))
+            for p, (sv, pair) in enumerate(zip(svs, pairs))]
+
+
 def smo_train(features, labels, c_penalty: float, gamma: float,
               tol: float = 1e-3, max_sweeps: int = 500,
               class_pair: tuple[str, str] = ("+1", "-1"),
               on_step=None) -> TrainedSvm:
     """Train one binary machine on +/-1 labels; samples are columns.
 
-    ``on_step(alpha, bias)`` is a debug hook called after every accepted
-    pair update.
-    """
+    At most ``max_sweeps * m`` pair updates are made on m samples;
+    ``on_step(alpha, bias)``, a debug hook, is called after each."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=float).ravel()
     m = X.shape[1]
@@ -107,138 +206,8 @@ def smo_train(features, labels, c_penalty: float, gamma: float,
         raise ValueError("labels must be +1 or -1")
     if np.all(y == y[0]):
         raise SingleClassError("both classes must be present")
-    if c_penalty <= 0:
-        raise ValueError("c_penalty must be positive")
-
-    C = float(c_penalty)
-    # run the sweeps a bit tighter than the advertised tolerance so the
-    # final bias recomputation cannot push any sample past it
-    tol_in = 0.45 * tol
-    K = rbf_gram(X, X, gamma)
-    alpha = np.zeros(m)
-    b = 0.0
-    E = -y.copy()  # E_i = f(x_i) - y_i with f identically zero at the start
-    eps = 1e-12
-
-    def take_step(i: int, j: int) -> bool:
-        nonlocal b, E
-        if i == j:
-            return False
-        ai, aj = alpha[i], alpha[j]
-        yi, yj = y[i], y[j]
-        s = yi * yj
-        if s > 0:
-            L, H = max(0.0, ai + aj - C), min(C, ai + aj)
-        else:
-            L, H = max(0.0, aj - ai), min(C, C + aj - ai)
-        if H - L < eps:
-            return False
-        kii, kjj, kij = K[i, i], K[j, j], K[i, j]
-        Ei, Ej = E[i], E[j]
-        eta = kii + kjj - 2.0 * kij
-        if eta > eps:
-            aj_new = aj + yj * (Ei - Ej) / eta
-            aj_new = min(H, max(L, aj_new))
-        else:
-            # flat or concave direction: compare the objective at the clips
-            f1 = yi * (Ei + b) - ai * kii - s * aj * kij
-            f2 = yj * (Ej + b) - aj * kjj - s * ai * kij
-            L1 = ai + s * (aj - L)
-            H1 = ai + s * (aj - H)
-            lobj = (L1 * f1 + L * f2 + 0.5 * L1 * L1 * kii
-                    + 0.5 * L * L * kjj + s * L * L1 * kij)
-            hobj = (H1 * f1 + H * f2 + 0.5 * H1 * H1 * kii
-                    + 0.5 * H * H * kjj + s * H * H1 * kij)
-            if lobj < hobj - 1e-12:
-                aj_new = L
-            elif lobj > hobj + 1e-12:
-                aj_new = H
-            else:
-                return False
-        if abs(aj_new - aj) < eps * (aj_new + aj + eps):
-            return False
-        ai_new = min(C, max(0.0, ai + s * (aj - aj_new)))
-        b_old = b
-        b1 = b - Ei - yi * (ai_new - ai) * kii - yj * (aj_new - aj) * kij
-        b2 = b - Ej - yi * (ai_new - ai) * kij - yj * (aj_new - aj) * kjj
-        if 0.0 < ai_new < C:
-            b = b1
-        elif 0.0 < aj_new < C:
-            b = b2
-        else:
-            b = 0.5 * (b1 + b2)
-        alpha[i], alpha[j] = ai_new, aj_new
-        E += (yi * (ai_new - ai) * K[i] + yj * (aj_new - aj) * K[j]
-              + (b - b_old))
-        if on_step is not None:
-            on_step(alpha.copy(), b)
-        return True
-
-    def examine(i: int) -> bool:
-        r = y[i] * E[i]
-        if not ((r < -tol_in and alpha[i] < C) or (r > tol_in and alpha[i] > 0)):
-            return False
-        free = np.flatnonzero((alpha > 0) & (alpha < C))
-        tried: set[int] = {i}
-        order: list[int] = []
-        if free.size:
-            order.append(int(free[int(np.argmax(np.abs(E[i] - E[free])))]))
-            order.extend(int(t) for t in free)
-        order.extend(range(m))
-        for j in order:
-            if j in tried:
-                continue
-            tried.add(j)
-            if take_step(i, j):
-                return True
-        return False
-
-    examine_all = True
-    converged = False
-    for _ in range(max_sweeps):
-        changed = 0
-        idxs = range(m) if examine_all else np.flatnonzero((alpha > 0) & (alpha < C))
-        for i in idxs:
-            changed += examine(int(i))
-        if examine_all:
-            if changed == 0:
-                converged = True
-                break
-            examine_all = False
-        elif changed == 0:
-            examine_all = True
-    if not converged:
-        warnings.warn("SMO hit max_sweeps before satisfying the KKT conditions",
-                      ConvergenceWarning, stacklevel=2)
-
-    # pair updates can leave an alpha an ulp off its bound; counted as free,
-    # it would pull the bias average onto a sample that does not set it
-    snap = 1e-12 * C
-    alpha[alpha <= snap] = 0.0
-    alpha[alpha >= C - snap] = C
-
-    # final bias: average over free support vectors, else the midpoint of
-    # the interval the bound constraints leave feasible
-    g = (alpha * y) @ K
-    free = (alpha > 0) & (alpha < C)
-    if free.any():
-        b = float(np.mean(y[free] - g[free]))
-    else:
-        lowers, uppers = [], []
-        for i in range(m):
-            bound = 1.0 / y[i] - g[i]
-            at_zero = alpha[i] == 0.0
-            if (at_zero and y[i] > 0) or (not at_zero and y[i] < 0):
-                lowers.append(bound)
-            else:
-                uppers.append(bound)
-        lo = max(lowers) if lowers else min(uppers)
-        hi = min(uppers) if uppers else max(lowers)
-        b = 0.5 * (lo + hi)
-
-    sv = np.flatnonzero(alpha > 0)
-    return TrainedSvm(X[:, sv], alpha[sv] * y[sv], float(b), float(gamma), C,
-                      class_pair, sv, converged)
+    return _train(X, np.arange(m)[None], y[None], c_penalty, gamma,
+                  [class_pair], tol, max_sweeps, on_step)[0]
 
 
 def kkt_violations(machine: TrainedSvm, features, labels) -> np.ndarray:
@@ -276,22 +245,58 @@ class MultiClassSvm:
                 f"expected {n * (n - 1) // 2}")
 
 
-def train_multiclass(features, labels, c_penalty: float, gamma: float,
-                     tol: float = 1e-3) -> MultiClassSvm:
-    """Train one machine per class pair; +1 maps to the pair's first label."""
+def _labelled(features, labels):
+    """Features as columns, labels as strings, and the sorted classes."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
-    labels = [str(l) for l in labels]
+    labels = np.array([str(l) for l in labels])
+    if labels.size != X.shape[1]:
+        raise LengthMismatchError(f"{labels.size} labels for {X.shape[1]} "
+                                  "samples")
     classes = sorted(set(labels))
     if len(classes) < 2:
         raise SingleClassError("need at least two classes")
-    arr = np.array(labels)
-    machines = []
-    for a, b in combinations(classes, 2):
-        mask = (arr == a) | (arr == b)
-        y = np.where(arr[mask] == a, 1.0, -1.0)
-        machines.append(smo_train(X[:, mask], y, c_penalty, gamma, tol,
-                                  class_pair=(a, b)))
+    return X, labels, classes
+
+
+def _pair_problems(labels, classes, train_sets):
+    """Class pairs, and the column indices and +/-1 labels (0 marks padding)
+    of every pair on every training set, padded to one width."""
+    pairs = list(combinations(classes, 2))
+    cols = [tr[np.isin(labels[tr], pair)] for tr in train_sets
+            for pair in pairs]
+    idx = np.zeros((len(cols), max(c.size for c in cols)), dtype=int)
+    y = np.zeros(idx.shape)
+    for p, c in enumerate(cols):
+        idx[p, :c.size] = c
+        y[p, :c.size] = 1.0 - 2.0 * (labels[c] != pairs[p % len(pairs)][0])
+    return pairs, idx, y
+
+
+def train_multiclass(features, labels, c_penalty: float, gamma: float,
+                     tol: float = 1e-3) -> MultiClassSvm:
+    """Train one machine per class pair, all in one batch; +1 maps to the
+    pair's first label."""
+    X, labels, classes = _labelled(features, labels)
+    pairs, idx, y = _pair_problems(labels, classes, [np.arange(labels.size)])
+    machines = _train(X, idx, y, c_penalty, gamma, pairs, tol)
     return MultiClassSvm(tuple(machines), tuple(classes))
+
+
+def _vote(F, pairs, classes) -> np.ndarray:
+    """Winning label per column of F (one row of decision values per
+    machine, whose +1 side is pairs[k][0]): most votes, then the largest
+    summed |f| over the machines won, then label order."""
+    # each machine adds to its first class, then its second, as a loop would
+    who = np.array([classes.index(c) for pair in pairs for c in pair], int)
+    won = F >= 0
+    sides = np.stack([won, ~won], 1).reshape(-1, F.shape[1])
+    votes, margin = np.zeros((2, len(classes), F.shape[1]))
+    np.add.at(votes, who, sides)
+    np.add.at(margin, who, np.where(sides, np.abs(F).repeat(2, 0), 0.0))
+    tied = votes == votes.max(0)
+    tied &= margin == np.where(tied, margin, -np.inf).max(0)
+    order = np.argsort(classes)
+    return np.array(classes)[order[tied[order].argmax(0)]]
 
 
 def predict_batch(model: MultiClassSvm, Z) -> list[str]:
@@ -301,26 +306,9 @@ def predict_batch(model: MultiClassSvm, Z) -> list[str]:
     it won, then to lexicographic label order.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
-    n = Z.shape[1]
-    votes = {c: np.zeros(n) for c in model.classes}
-    margins = {c: np.zeros(n) for c in model.classes}
-    for machine in model.machines:
-        f = decision_values(machine, Z)
-        first = f >= 0
-        a, b = machine.class_pair
-        votes[a] += first
-        votes[b] += ~first
-        margins[a] += np.where(first, np.abs(f), 0.0)
-        margins[b] += np.where(first, 0.0, np.abs(f))
-    out = []
-    for i in range(n):
-        best = max(votes[c][i] for c in model.classes)
-        tied = [c for c in model.classes if votes[c][i] == best]
-        if len(tied) > 1:
-            top = max(margins[c][i] for c in tied)
-            tied = [c for c in tied if margins[c][i] == top]
-        out.append(min(tied))
-    return out
+    F = np.array([decision_values(m, Z) for m in model.machines])
+    pairs = [m.class_pair for m in model.machines]
+    return _vote(F.reshape(-1, Z.shape[1]), pairs, model.classes).tolist()
 
 
 def predict(model: MultiClassSvm, z) -> str:
@@ -342,6 +330,29 @@ def _stratified_folds(labels: np.ndarray, folds: int,
     return assign
 
 
+def _cv_correct(X, labels, classes, fold_of, c_values, g_values,
+                tol) -> np.ndarray:
+    """Held-out correct counts of every (C, gamma) cell.  The kernel is
+    formed once per gamma; one batch per cell trains every fold x pair."""
+    folds = range(fold_of.max() + 1)
+    pairs, idx, y = _pair_problems(labels, classes, [
+        np.flatnonzero(fold_of != f) for f in folds])
+    correct = np.zeros((len(c_values), len(g_values)), dtype=int)
+    for gi, g in enumerate(g_values):
+        K = rbf_gram(X, X, g)
+        for ci, C in enumerate(c_values):
+            alpha, bias, _ = _smo_batch(K, idx, y, C, g, pairs * len(folds),
+                                        tol)
+            for f in folds:
+                te = np.flatnonzero(fold_of == f)
+                p = slice(f * len(pairs), (f + 1) * len(pairs))
+                F = np.einsum("ps,pst->pt", (alpha * y)[p],
+                              K[idx[p][..., None], te]) + bias[p, None]
+                correct[ci, gi] += np.count_nonzero(
+                    _vote(F, pairs, classes) == labels[te])
+    return correct
+
+
 def grid_search_cv(features, labels, c_grid=None, gamma_grid=None,
                    folds: int = 3, seed: int = 0,
                    tol: float = 1e-3) -> tuple[float, float]:
@@ -353,20 +364,9 @@ def grid_search_cv(features, labels, c_grid=None, gamma_grid=None,
     g_values = sorted(set(float(g) for g in (gamma_grid or DEFAULT_GAMMA_GRID)))
     if not c_values or not g_values:
         raise ValueError("grids must be nonempty")
-    X = np.atleast_2d(np.asarray(features, dtype=float))
-    arr = np.array([str(l) for l in labels])
-    fold_of = _stratified_folds(arr, folds, np.random.default_rng(seed))
-
-    best = None
-    for C, g in product(c_values, g_values):
-        correct = 0
-        for f in range(folds):
-            tr = fold_of != f
-            te = ~tr
-            model = train_multiclass(X[:, tr], arr[tr], C, g, tol)
-            pred = predict_batch(model, X[:, te])
-            correct += int(np.sum(np.array(pred) == arr[te]))
-        acc = correct / arr.size
-        if best is None or acc > best[0]:
-            best = (acc, C, g)
-    return best[1], best[2]
+    X, labels, classes = _labelled(features, labels)
+    fold_of = _stratified_folds(labels, folds, np.random.default_rng(seed))
+    correct = _cv_correct(X, labels, classes, fold_of, c_values, g_values, tol)
+    # argmax takes the first best cell: the smallest C, then gamma
+    ci, gi = np.unravel_index(np.argmax(correct), correct.shape)
+    return c_values[ci], g_values[gi]

@@ -113,6 +113,34 @@ def test_vq_code_matrix_range_check():
         VqCodeMatrix(np.array([[3]]), k=2)
 
 
+def test_codebook_duplicate_centers_name_the_first_pair():
+    def first_pair(centers):   # the pairwise scan the check must agree with
+        k = centers.shape[1]
+        for a in range(k):
+            for b in range(a + 1, k):
+                if np.array_equal(centers[:, a], centers[:, b]):
+                    return a, b
+        return None
+
+    u, v, w = np.eye(3)
+    cases = [np.column_stack([u, v, w, v, u]),      # 0 and 4, not 1 and 3
+             np.column_stack([u, v, w, w]),
+             np.array([[0.0, 1.0, -0.0], [2.0, 3.0, 2.0]])]  # -0.0 equals 0.0
+    rng = np.random.default_rng(11)
+    for _ in range(30):
+        centers = rng.integers(0, 3, size=(2, int(rng.integers(2, 12))))
+        cases.append(centers.astype(float))
+    for centers in cases:
+        pair = first_pair(centers)
+        if pair is None:
+            assert VqCodebook(centers).k == centers.shape[1]
+            continue
+        message = f"^duplicate centers {pair[0]} and {pair[1]}$"
+        with pytest.raises(ValueError, match=message):
+            VqCodebook(centers)
+    assert VqCodebook(rng.normal(size=(50, 256))).k == 256
+
+
 def test_fft_dc_of_unnormalized_constant():
     beats = BeatMatrix(np.full((16, 1), 2.5), ("N",))
     feats = fft_features(beats, 4)

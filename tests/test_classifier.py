@@ -1,12 +1,18 @@
 """SVM tests: kernel closed forms, SMO KKT certificates, grid search."""
 
+from itertools import combinations, product
+
 import numpy as np
 import pytest
 
-from segdict.classifier import (MultiClassSvm, grid_search_cv, kkt_violations,
-                                predict, predict_batch, rbf_gram, rbf_kernel,
-                                smo_train, train_multiclass)
-from segdict.errors import InsufficientDataError, SingleClassError
+from segdict.classifier import (MultiClassSvm, TrainedSvm, _cv_correct,
+                                _pair_problems, _smo_batch, _stratified_folds,
+                                decision_values, grid_search_cv,
+                                kkt_violations, predict, predict_batch,
+                                rbf_gram, rbf_kernel, smo_train,
+                                train_multiclass)
+from segdict.errors import (ConvergenceWarning, InsufficientDataError,
+                            SingleClassError)
 
 from oracles import svm_dual_pg
 
@@ -110,18 +116,104 @@ def test_dual_objective_non_increasing_across_pair_updates():
 
 
 def test_final_bias_treats_alpha_one_ulp_below_c_as_bound():
-    # on this set the pair updates leave one alpha at 0.12499999999999999,
-    # one ulp below C; counted as free, it alone would set the bias
-    rng = np.random.default_rng(6)
-    X = rng.normal(size=(2, 12))
-    y = np.array([1.0] * 6 + [-1.0] * 6)
-    C, tol = 0.125, 1e-3
+    # on this set the pair updates leave one alpha at 0.29999999999999993,
+    # one ulp below C; counted as free, it would enter the bias average
+    X = np.array([[0.23117221786996256, -0.040436618910061714,
+                   0.6101709946993459, -0.10539934301813095,
+                   0.6895232544513857, -0.7633239814379331,
+                   0.20820036582097876, -0.4594058127982602,
+                   0.7132569413988241, -0.5193189271515435,
+                   -0.5820721024633683, 1.2243963470095887]])
+    y = np.array([-1.0, 1, -1, -1, 1, 1, 1, 1, 1, -1, 1, 1])
+    C, tol = 0.3, 1e-3
     seen = []
-    m = smo_train(X, y, C, 0.25, tol=tol,
+    m = smo_train(X, y, C, 0.0625, tol=tol,
                   on_step=lambda alpha, b: seen.append(alpha))
     assert np.any(seen[-1] == np.nextafter(C, 0.0))
     assert m.converged
     assert kkt_violations(m, X, y).max() <= tol
+    assert not np.any(np.abs(m.alphas) == np.nextafter(C, 0.0))
+
+
+def test_batch_of_mixed_sizes_equals_single_solves():
+    # 40 problems of 4-20 samples share one padded batch; each must get
+    # the same duals, bias and outcome, bit for bit, as when solved alone
+    rng = np.random.default_rng(12)
+    sizes = rng.integers(4, 21, size=40)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    X = rng.normal(size=(3, int(sizes.sum())))
+    idx = np.zeros((40, sizes.max()), dtype=int)
+    y = np.zeros(idx.shape)
+    for p, (s, m) in enumerate(zip(starts, sizes)):
+        idx[p, :m] = np.arange(s, s + m)
+        y[p, :m] = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+        y[p, 0], y[p, 1] = 1.0, -1.0
+    pairs = [("a", "b")] * 40
+    for C, gamma in ((0.5, 0.3), (40.0, 0.3), (8.0, 2.0)):
+        K = rbf_gram(X, X, gamma)
+        alpha, bias, ok = _smo_batch(K, idx, y, C, gamma, pairs, 1e-3)
+        assert ok.all()
+        for p, m in enumerate(sizes):
+            a1, b1, ok1 = _smo_batch(K, idx[p:p + 1, :m], y[p:p + 1, :m], C,
+                                     gamma, pairs[:1], 1e-3)
+            assert np.array_equal(alpha[p, :m], a1[0])
+            assert np.all(alpha[p, m:] == 0.0)
+            assert bias[p] == b1[0] and ok[p] == ok1[0]
+
+
+def _blobs(classes, per_class, seed):
+    rng = np.random.default_rng(seed)
+    centers = 2.0 * rng.normal(size=(3, len(classes)))
+    X = np.hstack([centers[:, [k]] + rng.normal(size=(3, per_class))
+                   for k in range(len(classes))])
+    return X, [c for c in classes for _ in range(per_class)]
+
+
+@pytest.mark.parametrize("classes, per_class", [("abcd", 9), ("ABCDEFGH", 6)])
+def test_grid_cells_equal_per_fold_training_and_prediction(classes, per_class):
+    X, labels = _blobs(classes, per_class, seed=len(classes))
+    arr = np.array(labels)
+    c_values, g_values = [0.125, 2.0, 32.0], [0.0625, 0.5, 4.0]
+    fold_of = _stratified_folds(arr, 3, np.random.default_rng(4))
+    cells = _cv_correct(X, arr, sorted(set(labels)), fold_of, c_values,
+                        g_values, 1e-3)
+    expected = np.zeros(cells.shape, dtype=int)
+    for (ci, C), (gi, g) in product(enumerate(c_values), enumerate(g_values)):
+        for f in range(3):
+            tr = fold_of != f
+            model = train_multiclass(X[:, tr], arr[tr], C, g)
+            expected[ci, gi] += np.sum(
+                np.array(predict_batch(model, X[:, ~tr])) == arr[~tr])
+    assert np.array_equal(cells, expected)
+    assert len(set(cells.ravel())) > 1      # the grid tells cells apart
+    best = np.unravel_index(np.argmax(expected), expected.shape)
+    assert grid_search_cv(X, labels, c_values, g_values, folds=3, seed=4) == (
+        c_values[best[0]], g_values[best[1]])
+
+
+def test_update_cap_warns_once_per_call_naming_the_first_machine():
+    X, labels = _blobs("abcd", 8, seed=3)
+    arr = np.array(labels)
+    pairs, idx, y = _pair_problems(arr, list("abcd"), [np.arange(arr.size)])
+    K = rbf_gram(X, X, 4.0)
+    with pytest.warns(ConvergenceWarning) as caught:
+        _, _, ok = _smo_batch(K, idx, y, 512.0, 4.0, pairs, 1e-3,
+                              max_sweeps=0)
+    assert len(caught) == 1 and not ok.any()
+    assert str(caught[0].message) == (
+        "SMO hit max_sweeps before satisfying the KKT conditions on 6 of 6 "
+        "machines (first: pair ('a', 'b'), C=512, gamma=4)")
+    with pytest.warns(ConvergenceWarning) as caught:
+        _, _, ok = _smo_batch(rbf_gram(X, X, 1.0), idx, y, 512.0, 1.0, pairs,
+                              1e-3, max_sweeps=2)
+    assert len(caught) == 1 and np.sum(~ok) == 3
+    assert str(caught[0].message).endswith(
+        f"on 3 of 6 machines (first: pair {pairs[np.argmin(ok)]}, C=512, "
+        "gamma=1)")
+    with pytest.warns(ConvergenceWarning) as caught:
+        machine = smo_train(X[:, idx[0]], y[0], 512.0, 4.0, max_sweeps=0,
+                            class_pair=("a", "b"))
+    assert len(caught) == 1 and not machine.converged
 
 
 def test_smo_rejects_single_class():
@@ -171,6 +263,64 @@ def test_predict_unanimous_and_order_invariance():
     shuffled = MultiClassSvm(tuple(reversed(model.machines)), model.classes)
     test_pts = rng.normal(size=(2, 20)) * 3.0
     assert predict_batch(model, test_pts) == predict_batch(shuffled, test_pts)
+
+
+def _reference_vote(model, Z):
+    """The per-column vote loop that predict_batch must agree with."""
+    n = Z.shape[1]
+    votes = {c: np.zeros(n) for c in model.classes}
+    margins = {c: np.zeros(n) for c in model.classes}
+    for machine in model.machines:
+        f = decision_values(machine, Z)
+        first = f >= 0
+        a, b = machine.class_pair
+        votes[a] += first
+        votes[b] += ~first
+        margins[a] += np.where(first, np.abs(f), 0.0)
+        margins[b] += np.where(first, 0.0, np.abs(f))
+    out = []
+    for i in range(n):
+        best = max(votes[c][i] for c in model.classes)
+        tied = [c for c in model.classes if votes[c][i] == best]
+        if len(tied) > 1:
+            top = max(margins[c][i] for c in tied)
+            tied = [c for c in tied if margins[c][i] == top]
+        out.append(min(tied))
+    return out
+
+
+def test_predict_vote_ties_match_reference_loop():
+    classes = ("q", "c", "m", "x")          # not in label order
+    pairs = list(combinations(classes, 2))
+
+    def constant(pair, bias):               # no support vectors: f = bias
+        return TrainedSvm(np.zeros((2, 0)), [], bias, 0.5, 1.0, pair, [])
+
+    # q, c and m win two votes each by |f| = 1: label order picks c; a
+    # larger |f| for m's win over q lets the margin pick m
+    biases = {("q", "c"): 1.0, ("q", "m"): -1.0, ("q", "x"): 1.0,
+              ("c", "m"): 1.0, ("c", "x"): 1.0, ("m", "x"): 1.0}
+    Z = np.random.default_rng(14).normal(size=(2, 50))
+    for qm, expected in ((-1.0, "c"), (-3.0, "m")):
+        biases[("q", "m")] = qm
+        model = MultiClassSvm([constant(p, biases[p]) for p in pairs], classes)
+        assert predict_batch(model, Z) == [expected] * 50
+        assert _reference_vote(model, Z) == [expected] * 50
+
+    # random two-vector machines, some constant: ties of both kinds occur
+    rng = np.random.default_rng(15)
+    for trial in range(20):
+        machines = []
+        for p in pairs:
+            if rng.random() < 0.4:
+                machines.append(constant(p, float(rng.choice([-1.0, 1.0]))))
+            else:
+                a = rng.uniform(0.1, 1.0)
+                machines.append(TrainedSvm(rng.normal(size=(2, 2)), [a, -a],
+                                           float(rng.normal()), 0.5, 1.0, p,
+                                           [0, 1]))
+        model = MultiClassSvm(machines, classes)
+        assert predict_batch(model, Z) == _reference_vote(model, Z)
 
 
 def test_grid_search_single_point_and_duplicates():
