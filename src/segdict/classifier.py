@@ -360,8 +360,12 @@ def grid_search_cv(features, labels, c_grid=None, gamma_grid=None,
     smaller C, then smaller gamma."""
     if folds < 2:
         raise ValueError("folds must be >= 2")
-    c_values = sorted(set(float(c) for c in (c_grid or DEFAULT_C_GRID)))
-    g_values = sorted(set(float(g) for g in (gamma_grid or DEFAULT_GAMMA_GRID)))
+    if c_grid is None:
+        c_grid = DEFAULT_C_GRID
+    if gamma_grid is None:
+        gamma_grid = DEFAULT_GAMMA_GRID
+    c_values = sorted(set(float(c) for c in c_grid))
+    g_values = sorted(set(float(g) for g in gamma_grid))
     if not c_values or not g_values:
         raise ValueError("grids must be nonempty")
     X, labels, classes = _labelled(features, labels)

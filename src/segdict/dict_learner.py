@@ -13,12 +13,20 @@ G = Y X^T (X X^T + Lam)^{-1}, the gradient and Hessian have closed forms
     dR/dlam_k         = ||G e_k||^2 - 1
     d2R/dlam_k dlam_l = -2 (G^T G)_{kl} * ((X X^T + Lam)^{-1})_{kl}.
 
+Newton stops on its relative step size, which can leave an atom a hair over
+unit norm.  A feasibility guard then raises that atom's dual variable by the
+exact amount that returns it to unit norm: by Sherman-Morrison, raising
+lam_w by t divides atom w by 1 + t ((X X^T + Lam)^{-1})_ww, so the step
+costs one triangular solve and one refactorization.  It corrects the worst
+atom first, at most 5 k times.
+
 Atoms never selected by any code are left at zero by the dual and are
 re-initialized from random data columns so all k atoms stay effective.
 """
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -28,11 +36,15 @@ from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from .beat_model import (ATOM_NORM_SLACK, BeatMatrix, SegmentDictionary,
                          SegmentSpec, SparseCodeMatrix, segment_view,
                          stack_dictionaries)
-from .errors import (IndefiniteSystemError, InsufficientDataError,
-                     SegdictError, ShapeMismatchError)
+from .errors import (ConvergenceWarning, IndefiniteSystemError,
+                     InsufficientDataError, SegdictError, ShapeMismatchError)
 from .sparse_coder import SolverOptions, batch_encode, coding_objective
 
 _EARLY_STOP_REL = 1e-6
+# the guard corrects an atom whose squared norm exceeds 1 + _GUARD_SLACK,
+# at most _GUARD_ROUNDS * k times per dual solve
+_GUARD_SLACK = 1e-9
+_GUARD_ROUNDS = 5
 
 
 @dataclass(frozen=True)
@@ -53,10 +65,6 @@ class DualState:
             raise ValueError("lam must be a vector")
         if np.any(arr < 0):
             raise ValueError("dual variables must be nonnegative")
-
-    @property
-    def Lam(self) -> np.ndarray:
-        return np.diag(self.lam)
 
 
 @dataclass(frozen=True)
@@ -129,9 +137,13 @@ def dual_objective(lam, X, Y) -> float:
     return float(np.sum(Y * Y)) - quad - float(lam.sum())
 
 
-def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float,
-                 max_iter: int) -> tuple[np.ndarray, list[float]]:
-    """Maximize R over lam >= 0; X must have no all-zero rows."""
+def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
+                 ) -> tuple[np.ndarray, np.ndarray, list[float], bool]:
+    """Maximize R over lam >= 0; X must have no all-zero rows.
+
+    Returns lam, M = (X X^T + Lam)^{-1} X Y^T (the transposed dictionary),
+    R at every accepted step, and whether Newton stopped before max_iter.
+    """
     k = X.shape[0]
     XXt = X @ X.T
     XYt = X @ Y.T
@@ -168,6 +180,7 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float,
             t *= 0.5
         return None
 
+    converged = True
     for _ in range(max_iter):
         GtG = M @ M.T                      # (G^T G) with G = (M)^T
         grad = np.diag(GtG) - 1.0
@@ -200,33 +213,23 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float,
         history.append(r_cur)
         if step_norm / lam_prev_norm < tol:
             break
+    else:
+        converged = False
 
-    # feasibility guard: the stalled Newton point can leave an atom a hair
-    # over unit norm; bisect that coordinate's dual upward until the norm
-    # is back inside the slack (a ~1e-6 move, so R is essentially unchanged)
-    def norm2_at(idx, value):
-        probe = lam.copy()
-        probe[idx] = value
-        m = cho_solve(factor(probe), XYt, check_finite=False)
-        return float(np.einsum("ij,ij->i", m, m)[idx])
-
-    for _ in range(5 * k):
-        norms2 = np.einsum("ij,ij->i", M, M)
+    # feasibility guard (see the module docstring): raising lam_w by
+    # t = (||M_w|| - 1) / (A^{-1})_ww puts atom w exactly on the unit sphere;
+    # worst atom first, since each step can lengthen the others
+    norms2 = np.einsum("ij,ij->i", M, M)
+    for _ in range(_GUARD_ROUNDS * k):
         worst = int(np.argmax(norms2))
-        if norms2[worst] <= 1.0 + 1e-9:
+        if norms2[worst] <= 1.0 + _GUARD_SLACK:
             break
-        lo, hi = lam[worst], max(2.0 * lam[worst], lam[worst] + 1.0)
-        while norm2_at(worst, hi) > 1.0:
-            lo, hi = hi, 2.0 * hi
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if norm2_at(worst, mid) > 1.0:
-                lo = mid
-            else:
-                hi = mid
-        lam[worst] = hi
-        M = cho_solve(factor(lam), XYt, check_finite=False)
-    return lam, history
+        a_ww = cho_solve(c, eye[:, worst], check_finite=False)[worst]
+        lam[worst] += (np.sqrt(norms2[worst]) - 1.0) / a_ww
+        c = factor(lam)
+        M = cho_solve(c, XYt, check_finite=False)
+        norms2 = np.einsum("ij,ij->i", M, M)
+    return lam, M, history, converged
 
 
 def lagrange_dual_update(X, Y, cfg: TrainConfig, segment_index: int = 1,
@@ -236,7 +239,9 @@ def lagrange_dual_update(X, Y, cfg: TrainConfig, segment_index: int = 1,
 
     Rows of X that are identically zero (unused atoms) are excluded from the
     dual system; their atoms come back re-initialized from random data
-    columns with dual variable 0.
+    columns with dual variable 0.  Warns (ConvergenceWarning) when Newton
+    stops at cfg.newton_max, and when the feasibility guard runs out of
+    corrections with an atom still over unit norm.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -249,16 +254,25 @@ def lagrange_dual_update(X, Y, cfg: TrainConfig, segment_index: int = 1,
     if used.size == 0:
         raise InsufficientDataError("no atom is used by any code")
 
-    lam_used, history = _newton_dual(X[used], Y, cfg.newton_tol, cfg.newton_max)
-    A = X[used] @ X[used].T + np.diag(lam_used)
-    try:
-        c = cho_factor(A, lower=True, check_finite=False)
-    except LinAlgError as exc:
-        raise IndefiniteSystemError("X X^T + Lam is not positive definite") from exc
-    D_used = cho_solve(c, X[used] @ Y.T, check_finite=False).T
+    lam_used, M, history, converged = _newton_dual(
+        X[used], Y, cfg.newton_tol, cfg.newton_max)
+    if not converged:
+        warnings.warn(f"segment {segment_index}: Newton's method took "
+                      f"newton_max={cfg.newton_max} steps without its "
+                      f"relative step falling below "
+                      f"newton_tol={cfg.newton_tol:g}",
+                      ConvergenceWarning, stacklevel=2)
+    norms2 = np.einsum("ij,ij->i", M, M)
+    worst = int(np.argmax(norms2))
+    if norms2[worst] > 1.0 + _GUARD_SLACK:
+        warnings.warn(f"segment {segment_index}: the feasibility guard ran "
+                      f"out of corrections after {len(history) - 1} Newton "
+                      f"steps; atom {used[worst]} has norm "
+                      f"{np.sqrt(norms2[worst]):.12g}",
+                      ConvergenceWarning, stacklevel=2)
 
     atoms = np.zeros((d, k))
-    atoms[:, used] = D_used
+    atoms[:, used] = M.T
     lam_full = np.zeros(k)
     lam_full[used] = lam_used
 

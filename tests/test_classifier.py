@@ -332,6 +332,14 @@ def test_grid_search_single_point_and_duplicates():
                           folds=2) == (4.0, 0.25)
 
 
+def test_grid_search_rejects_empty_grids():
+    X = np.array([[0.0, 0.1, 1.0, 1.1]])
+    labels = ["a", "a", "b", "b"]
+    for c_grid, gamma_grid in (([], [1.0]), ([1.0], [])):
+        with pytest.raises(ValueError, match="grids must be nonempty"):
+            grid_search_cv(X, labels, c_grid, gamma_grid, folds=2)
+
+
 def test_grid_search_avoids_underfitting_gamma():
     # XOR-style data: a nearly linear kernel (tiny gamma) cannot separate it
     rng = np.random.default_rng(10)

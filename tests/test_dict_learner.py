@@ -1,14 +1,17 @@
 """Dictionary learning tests: dual correctness, monotonicity, recovery."""
 
+import warnings
+
 import numpy as np
 import pytest
 
+from segdict import dict_learner
 from segdict.beat_model import BeatMatrix, SegmentSpec, segment_view
 from segdict.dict_learner import (DualState, TrainConfig, _init_atoms,
                                   _train_one, dual_objective, encode_beats,
                                   init_dictionary, lagrange_dual_update,
                                   train_segment_dictionaries)
-from segdict.errors import InsufficientDataError
+from segdict.errors import ConvergenceWarning, InsufficientDataError
 from segdict.ingest import normalize_beat
 from segdict.sparse_coder import kkt_violation
 from segdict.synthetic import generate_planted_dataset
@@ -144,8 +147,88 @@ def test_dual_update_requires_a_used_atom():
 def test_dual_state_rejects_negative():
     with pytest.raises(ValueError):
         DualState(np.array([0.5, -0.1]))
-    assert np.array_equal(DualState(np.array([1.0, 2.0])).Lam,
-                          np.diag([1.0, 2.0]))
+    assert np.array_equal(DualState(np.array([1.0, 2.0])).lam, [1.0, 2.0])
+
+
+def guard_fixture():
+    """Codes and data on which Newton, stopped by a loose step tolerance,
+    leaves atom 1 over unit norm (by 4e-8 in squared norm); row 0 of the
+    codes is unused."""
+    rng = np.random.default_rng(5)
+    Y = rng.normal(size=(5, 10))
+    X = rng.normal(size=(4, 10))
+    X[0] = 0.0
+    return X, Y, TrainConfig(k=4, lam=0.1, newton_tol=1e-2)
+
+
+def unit_norm_root(X, Y, lam, w):
+    """The lam_w at which row w of (X X^T + Lam)^{-1} X Y^T has unit norm,
+    the other duals held at lam: bisection with numpy only."""
+    def norm(value):
+        probe = lam.copy()
+        probe[w] = value
+        return np.linalg.norm(
+            np.linalg.solve(X @ X.T + np.diag(probe), X @ Y.T)[w])
+    lo, hi = lam[w], lam[w] + 1.0
+    while norm(hi) > 1.0:
+        lo, hi = hi, 2.0 * hi
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if norm(mid) > 1.0:
+            lo = mid
+        else:
+            hi = mid
+    return hi
+
+
+def test_feasibility_guard_takes_the_exact_unit_norm_step(monkeypatch):
+    X, Y, cfg = guard_fixture()
+    factorizations = []
+    real_factor = dict_learner.cho_factor
+
+    def counting_factor(*args, **kwargs):
+        factorizations.append(1)
+        return real_factor(*args, **kwargs)
+
+    monkeypatch.setattr(dict_learner, "cho_factor", counting_factor)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D, dual = lagrange_dual_update(X, Y, cfg)
+    guarded = len(factorizations)
+    # the same Newton run with the guard switched off
+    monkeypatch.setattr(dict_learner, "_GUARD_ROUNDS", 0)
+    factorizations.clear()
+    with pytest.warns(ConvergenceWarning, match="feasibility guard"):
+        D_newton, newton = lagrange_dual_update(X, Y, cfg)
+    assert dual.r_history == newton.r_history
+    assert np.sum(D_newton.atoms ** 2, axis=0).max() > 1.0 + 1e-9
+    assert np.all(np.sum(D.atoms ** 2, axis=0) <= 1.0 + 1e-9)
+    corrected = np.flatnonzero(dual.lam != newton.lam)
+    assert corrected.tolist() == [1]
+    assert guarded - len(factorizations) <= corrected.size
+    used = slice(1, None)
+    root = unit_norm_root(X[used], Y, newton.lam[used], 0)
+    assert dual.lam[1] == pytest.approx(root, rel=1e-10)
+
+
+def test_newton_cap_and_exhausted_guard_warn_naming_the_cause(monkeypatch):
+    X, Y, cfg = guard_fixture()
+    capped = TrainConfig(k=4, lam=0.1, newton_max=1)
+    with pytest.warns(ConvergenceWarning) as caught:
+        _, dual = lagrange_dual_update(X, Y, capped, segment_index=3)
+    assert len(dual.r_history) == 2
+    assert [str(w.message) for w in caught] == [
+        "segment 3: Newton's method took newton_max=1 steps without its "
+        "relative step falling below newton_tol=1e-06"]
+
+    monkeypatch.setattr(dict_learner, "_GUARD_ROUNDS", 0)
+    with pytest.warns(ConvergenceWarning) as caught:
+        D, dual = lagrange_dual_update(X, Y, cfg, segment_index=2)
+    norm = np.linalg.norm(D.atoms[:, 1])
+    assert len(caught) == 1
+    assert str(caught[0].message) == (
+        f"segment 2: the feasibility guard ran out of corrections after "
+        f"{len(dual.r_history) - 1} Newton steps; atom 1 has norm "
+        f"{norm:.12g}")
 
 
 def planted_beats(rng, gamma=12, j_count=2, k=4, n=80, noise=0.0,
