@@ -8,15 +8,14 @@ evaluation harness round out the pipeline.
 """
 
 from .beat_model import (BeatMatrix, SegmentDictionary, SegmentSpec,
-                         SparseCodeMatrix, StackedDictionary, segment_view,
-                         stack_dictionaries)
+                         SparseCodeMatrix, segment_view, stack_dictionaries)
 from .baselines import (VqCodebook, VqCodeMatrix, assign_codes, fft_features,
                         kmeans_train, one_hot_codes, vq_encode)
 from .classifier import (MultiClassSvm, TrainedSvm, grid_search_cv,
-                         kkt_violations, predict, predict_batch, rbf_gram,
-                         rbf_kernel, smo_train, train_multiclass)
+                         kkt_violations, predict_batch, rbf_gram, smo_train,
+                         train_multiclass)
 from .dict_learner import (DualState, TrainConfig, dual_objective,
-                           encode_beats, init_dictionary, lagrange_dual_update,
+                           encode_beats, lagrange_dual_update,
                            train_segment_dictionaries)
 from .evaluation import (EvalReport, FftFeatures, SparseDictFeatures,
                          SplitPlan, TimingRow, VqFeatures,
@@ -24,28 +23,27 @@ from .evaluation import (EvalReport, FftFeatures, SparseDictFeatures,
                          stratified_split, wilcoxon_rank_sum)
 from .ingest import (RawBeatRecord, build_beat_matrix, load_dataset,
                      normalize_beat, resample_beat)
-from .sparse_coder import (FeatureSignState, SolverOptions, batch_encode,
-                           coding_objective, feature_sign_solve, kkt_violation)
+from .sparse_coder import (SolverOptions, batch_encode, coding_objective,
+                           feature_sign_solve, kkt_violation)
 from .synthetic import generate_planted_dataset, write_beats_csv
 
 __version__ = "0.1.0"
 
 __all__ = [
     "BeatMatrix", "SegmentDictionary", "SegmentSpec", "SparseCodeMatrix",
-    "StackedDictionary", "segment_view", "stack_dictionaries",
+    "segment_view", "stack_dictionaries",
     "VqCodebook", "VqCodeMatrix", "assign_codes", "fft_features",
     "kmeans_train", "one_hot_codes", "vq_encode",
     "MultiClassSvm", "TrainedSvm", "grid_search_cv", "kkt_violations",
-    "predict", "predict_batch", "rbf_gram", "rbf_kernel", "smo_train",
-    "train_multiclass",
+    "predict_batch", "rbf_gram", "smo_train", "train_multiclass",
     "DualState", "TrainConfig", "dual_objective", "encode_beats",
-    "init_dictionary", "lagrange_dual_update", "train_segment_dictionaries",
+    "lagrange_dual_update", "train_segment_dictionaries",
     "EvalReport", "FftFeatures", "SparseDictFeatures", "SplitPlan",
     "TimingRow", "VqFeatures", "bench_feature_extraction", "evaluate",
     "run_single", "stratified_split", "wilcoxon_rank_sum",
     "RawBeatRecord", "build_beat_matrix", "load_dataset", "normalize_beat",
     "resample_beat",
-    "FeatureSignState", "SolverOptions", "batch_encode", "coding_objective",
+    "SolverOptions", "batch_encode", "coding_objective",
     "feature_sign_solve", "kkt_violation",
     "generate_planted_dataset", "write_beats_csv",
 ]

@@ -143,33 +143,9 @@ class SegmentDictionary:
         return self.atoms.shape[1]
 
 
-@dataclass(frozen=True)
-class StackedDictionary:
-    """Whole-beat dictionary: column kappa stacks atom kappa of D_1..D_J."""
-
-    atoms: np.ndarray
-    seg_len: int
-    j_count: int
-
-    def __post_init__(self):
-        arr = _as_matrix(self.atoms, "atoms")
-        object.__setattr__(self, "atoms", arr)
-        if arr.shape[0] != self.seg_len * self.j_count:
-            raise ShapeMismatchError("stacked rows must equal seg_len * j_count")
-
-    @property
-    def k(self) -> int:
-        return self.atoms.shape[1]
-
-    def block(self, j: int) -> np.ndarray:
-        """Row block of segment j (1-based)."""
-        if not 1 <= j <= self.j_count:
-            raise SegmentIndexError(f"segment index {j} outside [1,{self.j_count}]")
-        return self.atoms[(j - 1) * self.seg_len: j * self.seg_len, :]
-
-
-def stack_dictionaries(dicts: list[SegmentDictionary]) -> StackedDictionary:
-    """Vertically concatenate per-segment dictionaries, ordered by segment index."""
+def stack_dictionaries(dicts: list[SegmentDictionary]) -> np.ndarray:
+    """Whole-beat dictionary: column kappa stacks atom kappa of D_1..D_J,
+    ordered by segment index."""
     if not dicts:
         raise DictionaryStackError("no dictionaries to stack")
     ks = {d.k for d in dicts}
@@ -183,8 +159,7 @@ def stack_dictionaries(dicts: list[SegmentDictionary]) -> StackedDictionary:
         raise DictionaryStackError(
             f"segment indices must be 1..{len(dicts)} exactly once, got {indices}")
     ordered = sorted(dicts, key=lambda d: d.segment_index)
-    atoms = np.vstack([d.atoms for d in ordered])
-    return StackedDictionary(atoms, ordered[0].d, len(dicts))
+    return np.vstack([d.atoms for d in ordered])
 
 
 @dataclass(frozen=True)

@@ -27,18 +27,6 @@ DEFAULT_C_GRID = tuple(2.0 ** e for e in range(-3, 11, 2))       # 2^-3 .. 2^9
 DEFAULT_GAMMA_GRID = tuple(2.0 ** e for e in range(-10, 4, 2))   # 2^-10 .. 2^2
 
 
-def rbf_kernel(a, b, gamma: float) -> float:
-    """K(a, b) = exp(-gamma * ||a - b||^2)."""
-    if gamma <= 0:
-        raise ValueError("gamma must be positive")
-    a = np.asarray(a, dtype=float).ravel()
-    b = np.asarray(b, dtype=float).ravel()
-    if a.shape != b.shape:
-        raise LengthMismatchError(f"vector lengths {a.size} and {b.size}")
-    diff = a - b
-    return float(np.exp(-gamma * float(diff @ diff)))
-
-
 def rbf_gram(A, B, gamma: float) -> np.ndarray:
     """Kernel matrix between the columns of A and the columns of B."""
     A = np.atleast_2d(np.asarray(A, dtype=float))
@@ -311,11 +299,6 @@ def predict_batch(model: MultiClassSvm, Z) -> list[str]:
     return _vote(F.reshape(-1, Z.shape[1]), pairs, model.classes).tolist()
 
 
-def predict(model: MultiClassSvm, z) -> str:
-    """Predicted label for a single feature vector."""
-    return predict_batch(model, np.asarray(z, dtype=float).reshape(-1, 1))[0]
-
-
 def _stratified_folds(labels: np.ndarray, folds: int,
                       rng: np.random.Generator) -> np.ndarray:
     assign = np.empty(labels.size, dtype=int)
@@ -368,6 +351,11 @@ def grid_search_cv(features, labels, c_grid=None, gamma_grid=None,
     g_values = sorted(set(float(g) for g in gamma_grid))
     if not c_values or not g_values:
         raise ValueError("grids must be nonempty")
+    for name, values in (("C", c_values), ("gamma", g_values)):
+        bad = [v for v in values if not v > 0]
+        if bad:
+            raise ValueError(f"{name} grid values must be positive, "
+                             f"got {bad[0]:g}")
     X, labels, classes = _labelled(features, labels)
     fold_of = _stratified_folds(labels, folds, np.random.default_rng(seed))
     correct = _cv_correct(X, labels, classes, fold_of, c_values, g_values, tol)

@@ -1,18 +1,14 @@
 """Command-line entry point wiring ingestion, training, and evaluation.
 
-Commands: train-dict, encode, train-svm, predict, run-experiment, bench,
+Commands: train-dict, encode, train-svm, predict, run-experiment,
 gen-synthetic.  Configuration comes from a flat ``key = value`` file; the
---seed/--method/--reps/--out flags override file values.  SEGDICT_THREADS
-caps worker parallelism (the current implementation runs single-threaded,
-so any value >= 1 is already honored).
+--seed/--method/--reps/--out flags override file values.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import hashlib
-import os
 import sys
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -25,9 +21,8 @@ from .beat_model import BeatMatrix, SegmentSpec
 from .dict_learner import TrainConfig, encode_beats, train_segment_dictionaries
 from .errors import ConfigError, SegdictError
 from .evaluation import (EvalReport, FftFeatures, SparseDictFeatures, SplitPlan,
-                         VqFeatures, bench_feature_extraction, run_single,
-                         sample_subset, split_by_labels, stratified_split,
-                         wilcoxon_rank_sum)
+                         VqFeatures, run_single, sample_subset,
+                         split_by_labels, stratified_split, wilcoxon_rank_sum)
 from .ingest import build_beat_matrix, load_dataset
 from . import serialize
 from .synthetic import generate_planted_dataset, write_beats_csv
@@ -57,7 +52,6 @@ class RunConfig:
     seed: int = 0
     reps: int = 1
     output_dir: str = "out"
-    bench_methods: tuple[str, ...] = METHODS
 
     def __post_init__(self):
         if self.target_len < 2:
@@ -72,9 +66,11 @@ class RunConfig:
             raise ConfigError("folds must be >= 2 and reps >= 1")
         if not self.c_grid or not self.gamma_grid:
             raise ConfigError("svm grids must be nonempty")
-        for m in self.bench_methods:
-            if m not in METHODS:
-                raise ConfigError(f"unknown method {m!r}")
+        for name in ("c_grid", "gamma_grid"):
+            bad = [v for v in getattr(self, name) if not v > 0]
+            if bad:
+                raise ConfigError(f"{name} values must be positive, "
+                                  f"got {bad[0]:g}")
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
         return TrainConfig(k=self.k, lam=self.lam, outer_iters=self.outer_iters,
@@ -91,8 +87,10 @@ def _parse_counts(text: str) -> dict[str, int]:
             continue
         if ":" not in item:
             raise ConfigError(f"bad train_counts entry {item!r} (want label:count)")
-        cls, cnt = item.split(":", 1)
-        counts[cls.strip()] = int(cnt)
+        cls, cnt = (part.strip() for part in item.split(":", 1))
+        if cls in counts:
+            raise ConfigError(f"train_counts repeats label {cls!r}")
+        counts[cls] = int(cnt)
     return counts
 
 
@@ -115,7 +113,6 @@ _PARSERS = {
     "seed": int,
     "reps": int,
     "output_dir": str,
-    "bench_methods": lambda s: tuple(v.strip() for v in s.split(",") if v.strip()),
 }
 _KEY_TO_FIELD = {k: ("lam" if k == "lambda" else k) for k in _PARSERS}
 
@@ -137,19 +134,6 @@ def load_config(path) -> RunConfig:
             except (ValueError, ConfigError) as exc:
                 raise ConfigError(f"{path}:{lineno}: {exc}") from exc
     return RunConfig(**values)
-
-
-def _threads_cap() -> int:
-    raw = os.environ.get("SEGDICT_THREADS")
-    if raw is None:
-        return 1
-    try:
-        cap = int(raw)
-    except ValueError as exc:
-        raise ConfigError(f"SEGDICT_THREADS={raw!r} is not an integer") from exc
-    if cap < 1:
-        raise ConfigError("SEGDICT_THREADS must be >= 1")
-    return cap
 
 
 class StageError(SegdictError):
@@ -184,11 +168,6 @@ def _config_from_args(args) -> RunConfig:
     if getattr(args, "out", None) is not None:
         updates["output_dir"] = args.out
     return replace(cfg, **updates) if updates else cfg
-
-
-def _run_id(cfg: RunConfig, method: str, rep: int) -> str:
-    tag = f"{cfg.dataset_path}|{cfg.seed}|{method}|{rep}"
-    return f"{method}-rep{rep}-" + hashlib.sha256(tag.encode()).hexdigest()[:8]
 
 
 def _make_method(name: str, cfg: RunConfig, seed: int, gamma: int):
@@ -399,8 +378,7 @@ def cmd_run_experiment(args) -> int:
         method = _make_method(method_name, cfg, seed, beats.gamma)
         report, (c_penalty, gamma), (train_idx, test_idx) = _stage(
             "experiment", run_single, beats, method, cfg.train_counts, seed,
-            cfg.folds, cfg.c_grid, cfg.gamma_grid,
-            _run_id(cfg, method_name, rep))
+            cfg.folds, cfg.c_grid, cfg.gamma_grid)
         reports.append(report)
         row = [rep, seed, f"{c_penalty:g}", f"{gamma:g}",
                f"{report.overall_accuracy:.6f}",
@@ -432,31 +410,6 @@ def cmd_run_experiment(args) -> int:
     _aggregate_runs(out_dir)
     print(f"{method_name}: accuracy {np.mean(accs):.4f} over {cfg.reps} rep(s); "
           f"reports in {out_dir}")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    cfg = _config_from_args(args)
-    beats = _load_beats(cfg)
-    out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if cfg.train_counts:
-        train_idx, _ = _stage("split", stratified_split, beats,
-                              SplitPlan(cfg.train_counts, cfg.seed))
-    else:
-        train_idx = np.arange(beats.count)
-    methods = [_make_method(m, cfg, cfg.seed, beats.gamma)
-               for m in cfg.bench_methods]
-    reps = args.reps if args.reps is not None else 3
-    rows = _stage("bench", bench_feature_extraction, methods, beats,
-                  train_idx, reps)
-    rows.sort(key=lambda r: -r.total_s)
-    header = ["method", "construction_s", "encoding_s", "total_s"]
-    table = [[r.method, f"{r.construction_s:.6f}", f"{r.encoding_s:.6f}",
-              f"{r.total_s:.6f}"] for r in rows]
-    _write_csv(out_dir / "bench.csv", header, table)
-    _write_text_table(out_dir / "bench.txt", header, table)
-    print(f"wrote {out_dir / 'bench.csv'}")
     return 0
 
 
@@ -511,18 +464,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reps", type=int, help="repetitions with distinct seeds")
     p.set_defaults(func=cmd_run_experiment)
 
-    p = sub.add_parser("bench", help="time feature construction and encoding")
-    common(p)
-    p.add_argument("--reps", type=int, help="benchmark repetitions (default 3)")
-    p.set_defaults(func=cmd_bench)
-
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _threads_cap()
         return args.func(args)
     except StageError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -115,13 +115,6 @@ def _init_atoms(segments: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return atoms
 
 
-def init_dictionary(segments, k: int, seed, segment_index: int = 1) -> SegmentDictionary:
-    """Seed a dictionary with k distinct data columns normalized to unit norm."""
-    segments = np.asarray(segments, dtype=float)
-    rng = np.random.default_rng(seed)
-    return SegmentDictionary(_init_atoms(segments, k, rng), segment_index)
-
-
 def dual_objective(lam, X, Y) -> float:
     """R(lam), evaluated through a Cholesky factorization of X X^T + Lam."""
     lam = np.asarray(lam, dtype=float).ravel()
@@ -353,9 +346,9 @@ def encode_beats(beats: BeatMatrix, dicts: list[SegmentDictionary],
     if lam <= 0:
         raise ValueError("lam must be positive")
     stacked = stack_dictionaries(dicts)
-    if stacked.atoms.shape[0] != beats.gamma:
+    if stacked.shape[0] != beats.gamma:
         raise ShapeMismatchError(
-            f"stacked dictionary covers {stacked.atoms.shape[0]} rows, "
+            f"stacked dictionary covers {stacked.shape[0]} rows, "
             f"beats have {beats.gamma}")
-    codes = batch_encode(stacked.atoms, beats.samples, SolverOptions(lam=lam))
+    codes = batch_encode(stacked, beats.samples, SolverOptions(lam=lam))
     return SparseCodeMatrix(codes, lam)

@@ -72,7 +72,6 @@ class EvalReport:
     confusion: np.ndarray
     classes: tuple[str, ...]
     timing: dict[str, float] = field(default_factory=dict)
-    run_id: str = ""
 
 
 def evaluate(pred_labels, true_labels) -> EvalReport:
@@ -245,9 +244,9 @@ class FftFeatures:
 
 
 def run_single(beats: BeatMatrix, method, counts: dict[str, int], seed: int,
-               folds: int = 3, c_grid=None, gamma_grid=None,
-               run_id: str = "") -> tuple[EvalReport, tuple[float, float],
-                                          tuple[np.ndarray, np.ndarray]]:
+               folds: int = 3, c_grid=None, gamma_grid=None
+               ) -> tuple[EvalReport, tuple[float, float],
+                          tuple[np.ndarray, np.ndarray]]:
     """One full feature-extraction + classification experiment."""
     train_idx, test_idx = stratified_split(beats, SplitPlan(counts, seed))
     train_beats = beats.take(train_idx)
@@ -266,7 +265,6 @@ def run_single(beats: BeatMatrix, method, counts: dict[str, int], seed: int,
     pred = predict_batch(model, features[:, test_idx])
     report = evaluate(pred, labels[test_idx])
     report.timing = {"construction_s": t1 - t0, "encoding_s": t2 - t1}
-    report.run_id = run_id
     return report, (c_penalty, gamma), (train_idx, test_idx)
 
 

@@ -54,10 +54,8 @@ class RawBeatRecord:
         return self.samples[c * n:(c + 1) * n]
 
 
-def load_dataset(path, format: str = "csv") -> list[RawBeatRecord]:
+def load_dataset(path) -> list[RawBeatRecord]:
     """Parse a beat CSV file into raw records, labels preserved verbatim."""
-    if format != "csv":
-        raise ValueError(f"unsupported format {format!r}")
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
 

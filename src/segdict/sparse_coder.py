@@ -60,41 +60,6 @@ class SolverOptions:
             raise ValueError("opt_tol must be positive")
 
 
-@dataclass(frozen=True)
-class FeatureSignState:
-    """Snapshot of solver state: iterate, signs, active set, smooth gradient."""
-
-    x: np.ndarray
-    theta: np.ndarray
-    active_set: tuple[int, ...]
-    grad: np.ndarray
-
-    def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        theta = np.asarray(self.theta, dtype=float)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "theta", theta)
-        object.__setattr__(self, "grad", np.asarray(self.grad, dtype=float))
-        object.__setattr__(self, "active_set",
-                           tuple(int(i) for i in self.active_set))
-        if not np.all(np.isin(theta, (-1.0, 0.0, 1.0))):
-            raise ValueError("theta entries must be in {-1, 0, +1}")
-        support = tuple(int(i) for i in np.flatnonzero(x))
-        if support != self.active_set:
-            raise ValueError("active_set must equal the support of x")
-        for i in support:
-            if theta[i] != np.sign(x[i]):
-                raise ValueError("theta must match sign(x) on the active set")
-
-    @classmethod
-    def from_solution(cls, D, y, x) -> "FeatureSignState":
-        D = np.asarray(D, dtype=float)
-        y = np.asarray(y, dtype=float).ravel()
-        x = np.asarray(x, dtype=float).ravel()
-        grad = D.T @ (D @ x - y)
-        return cls(x, np.sign(x), tuple(int(i) for i in np.flatnonzero(x)), grad)
-
-
 def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     c, low = cho_factor(A, lower=True, check_finite=False)
     piv = np.diag(c) ** 2

@@ -65,13 +65,13 @@ def test_stack_two_dictionaries():
     d1 = SegmentDictionary(np.array([[1.0], [0.0]]), 1)
     d2 = SegmentDictionary(np.array([[0.0], [1.0]]), 2)
     stacked = stack_dictionaries([d2, d1])
-    assert np.array_equal(stacked.atoms[:, 0], [1.0, 0.0, 0.0, 1.0])
+    assert np.array_equal(stacked[:, 0], [1.0, 0.0, 0.0, 1.0])
 
 
 def test_stack_single_is_identity():
     atoms = np.array([[0.6], [0.8]])
     stacked = stack_dictionaries([SegmentDictionary(atoms, 1)])
-    assert np.array_equal(stacked.atoms, atoms)
+    assert np.array_equal(stacked, atoms)
 
 
 def test_stack_blocks_match_sources():
@@ -82,9 +82,9 @@ def test_stack_blocks_match_sources():
         atoms /= np.linalg.norm(atoms, axis=0)
         dicts.append(SegmentDictionary(atoms, j))
     stacked = stack_dictionaries(dicts)
-    assert stacked.atoms.shape == (6, 4)
+    assert stacked.shape == (6, 4)
     for j, d in enumerate(dicts, start=1):
-        assert np.array_equal(stacked.block(j), d.atoms)
+        assert np.array_equal(stacked[2 * (j - 1):2 * j], d.atoms)
 
 
 def test_stack_errors():

@@ -8,9 +8,8 @@ import pytest
 from segdict.classifier import (MultiClassSvm, TrainedSvm, _cv_correct,
                                 _pair_problems, _smo_batch, _stratified_folds,
                                 decision_values, grid_search_cv,
-                                kkt_violations, predict, predict_batch,
-                                rbf_gram, rbf_kernel, smo_train,
-                                train_multiclass)
+                                kkt_violations, predict_batch, rbf_gram,
+                                smo_train, train_multiclass)
 from segdict.errors import (ConvergenceWarning, InsufficientDataError,
                             SingleClassError)
 
@@ -27,22 +26,27 @@ def dual_objective_value(features, labels, alphas_signed, sv_idx, gamma):
     return quad - float(np.abs(a_signed).sum())
 
 
-def test_rbf_kernel_values():
+def kernel(a, b, gamma):
+    """K(a, b) through rbf_gram on one column each."""
+    return float(rbf_gram(a[:, None], b[:, None], gamma)[0, 0])
+
+
+def test_rbf_gram_column_values():
     a = np.array([1.0, 2.0])
-    assert rbf_kernel(a, a, 0.7) == pytest.approx(1.0)
+    assert kernel(a, a, 0.7) == pytest.approx(1.0)
     b = np.array([1.0, 3.0])  # ||a-b||^2 = 1
-    assert rbf_kernel(a, b, 1.0) == pytest.approx(np.exp(-1.0))
-    assert rbf_kernel(a, b, 1.0) == pytest.approx(0.367879, abs=1e-6)
+    assert kernel(a, b, 1.0) == pytest.approx(np.exp(-1.0))
+    assert kernel(a, b, 1.0) == pytest.approx(0.367879, abs=1e-6)
 
 
-def test_rbf_kernel_symmetry_sweep():
+def test_rbf_gram_column_symmetry_sweep():
     rng = np.random.default_rng(0)
     for _ in range(50):
         a = rng.normal(size=4)
         b = rng.normal(size=4)
         g = float(rng.uniform(0.1, 3.0))
-        assert abs(rbf_kernel(a, b, g) - rbf_kernel(b, a, g)) <= 1e-15
-        assert 0.0 < rbf_kernel(a, b, g) <= 1.0
+        assert abs(kernel(a, b, g) - kernel(b, a, g)) <= 1e-15
+        assert 0.0 < kernel(a, b, g) <= 1.0
 
 
 def test_two_point_symmetric_machine():
@@ -245,7 +249,8 @@ def test_interior_support_vectors_predict_their_label():
     interior = (unsigned > 1e-8) & (unsigned < machine.c_penalty - 1e-8)
     for pos in np.flatnonzero(interior):
         col = machine.support_vectors[:, pos]
-        assert predict(model, col) == labels[machine.sv_indices[pos]]
+        assert predict_batch(model, col[:, None]) == [
+            labels[machine.sv_indices[pos]]]
 
 
 def test_predict_unanimous_and_order_invariance():
@@ -337,6 +342,17 @@ def test_grid_search_rejects_empty_grids():
     labels = ["a", "a", "b", "b"]
     for c_grid, gamma_grid in (([], [1.0]), ([1.0], [])):
         with pytest.raises(ValueError, match="grids must be nonempty"):
+            grid_search_cv(X, labels, c_grid, gamma_grid, folds=2)
+
+
+def test_grid_search_rejects_non_positive_grid_values():
+    X = np.array([[0.0, 0.1, 1.0, 1.1]])
+    labels = ["a", "a", "b", "b"]
+    for c_grid, gamma_grid, bad in (([1.0], [0.0], "gamma grid .* got 0$"),
+                                    ([-1.0, 2.0], [1.0], "C grid .* got -1$"),
+                                    ([1.0], [0.5, float("nan")],
+                                     "gamma grid .* got nan$")):
+        with pytest.raises(ValueError, match=bad):
             grid_search_cv(X, labels, c_grid, gamma_grid, folds=2)
 
 

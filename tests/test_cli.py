@@ -169,20 +169,6 @@ def test_wilcoxon_and_accuracy_tables_appear(tmp_path):
     assert totals == sorted(totals, reverse=True)
 
 
-def test_bench_schema_and_order(tmp_path):
-    dataset = make_dataset(tmp_path)
-    out = tmp_path / "o"
-    cfg = make_config(tmp_path, dataset, out,
-                      extra="bench_methods = kmeans,fft\n")
-    assert run(["bench", "--config", cfg, "--reps", 1]) == 0
-    rows = read_csv(out / "bench.csv")
-    assert {r["method"] for r in rows} == {"kmeans", "fft"}
-    assert set(rows[0]) == {"method", "construction_s", "encoding_s", "total_s"}
-    totals = [float(r["total_s"]) for r in rows]
-    assert totals == sorted(totals, reverse=True)
-    assert all(t > 0.0 for t in totals)
-
-
 def test_run_experiment_two_channel_dataset(tmp_path):
     from segdict.synthetic import generate_planted_dataset, write_beats_csv
 
@@ -229,6 +215,23 @@ def test_config_rejects_out_of_range(tmp_path):
         load_config(cfg)
 
 
+def test_config_rejects_non_positive_grid_values(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    for line, bad in (("c_grid = -1", "c_grid values must be positive, got -1"),
+                      ("gamma_grid = 0,-2",
+                       "gamma_grid values must be positive, got 0")):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=bad):
+            load_config(cfg)
+
+
+def test_config_rejects_repeated_train_counts_label(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("train_counts = c1:5,c2:3, c1 :7\n", encoding="utf-8")
+    with pytest.raises(ConfigError, match="train_counts repeats label 'c1'"):
+        load_config(cfg)
+
+
 def test_cli_surfaces_stage_errors_with_nonzero_exit(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("dataset_path = missing.csv\ntrain_counts = a:1\n",
@@ -237,14 +240,3 @@ def test_cli_surfaces_stage_errors_with_nonzero_exit(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "stage 'ingest'" in err
-
-
-def test_threads_env_validation(tmp_path, monkeypatch, capsys):
-    dataset = make_dataset(tmp_path)
-    out = tmp_path / "o"
-    cfg = make_config(tmp_path, dataset, out)
-    monkeypatch.setenv("SEGDICT_THREADS", "zero")
-    assert run(["train-dict", "--config", cfg]) == 1
-    assert "SEGDICT_THREADS" in capsys.readouterr().err
-    monkeypatch.setenv("SEGDICT_THREADS", "2")
-    assert run(["train-dict", "--config", cfg]) == 0

@@ -9,7 +9,7 @@ from segdict import dict_learner
 from segdict.beat_model import BeatMatrix, SegmentSpec, segment_view
 from segdict.dict_learner import (DualState, TrainConfig, _init_atoms,
                                   _train_one, dual_objective, encode_beats,
-                                  init_dictionary, lagrange_dual_update,
+                                  lagrange_dual_update,
                                   train_segment_dictionaries)
 from segdict.errors import ConvergenceWarning, InsufficientDataError
 from segdict.ingest import normalize_beat
@@ -21,33 +21,34 @@ from oracles import constrained_lsq_pg, lagrangian_min_gd
 TIGHT = TrainConfig(k=2, lam=0.1, newton_tol=1e-10, newton_max=200)
 
 
-def test_init_dictionary_unit_norms_and_determinism():
+def test_init_atoms_unit_norms_and_determinism():
     rng = np.random.default_rng(0)
     segments = rng.normal(size=(6, 10))
-    d1 = init_dictionary(segments, 4, seed=42)
-    d2 = init_dictionary(segments, 4, seed=42)
-    assert np.array_equal(d1.atoms, d2.atoms)
-    assert np.allclose(np.linalg.norm(d1.atoms, axis=0), 1.0, atol=1e-12)
+    a1 = _init_atoms(segments, 4, np.random.default_rng(42))
+    a2 = _init_atoms(segments, 4, np.random.default_rng(42))
+    assert np.array_equal(a1, a2)
+    assert np.allclose(np.linalg.norm(a1, axis=0), 1.0, atol=1e-12)
 
 
-def test_init_dictionary_forced_selection_is_permutation():
+def test_init_atoms_forced_selection_is_permutation():
     rng = np.random.default_rng(1)
     segments = rng.normal(size=(5, 4))
-    d = init_dictionary(segments, 4, seed=0)
+    atoms = _init_atoms(segments, 4, np.random.default_rng(0))
     normalized = segments / np.linalg.norm(segments, axis=0)
     matched = set()
     for kappa in range(4):
         hits = [j for j in range(4)
-                if np.allclose(d.atoms[:, kappa], normalized[:, j], atol=1e-15)]
+                if np.allclose(atoms[:, kappa], normalized[:, j], atol=1e-15)]
         assert hits and hits[0] not in matched
         matched.add(hits[0])
 
 
-def test_init_dictionary_requires_distinct_columns():
-    col = np.ones((4, 1))
-    segments = np.hstack([col, col, col])
-    with pytest.raises(InsufficientDataError):
-        init_dictionary(segments, 2, seed=0)
+def test_training_requires_distinct_columns_naming_the_segment():
+    beats = BeatMatrix(np.ones((8, 3)), ("N",) * 3)
+    spec = SegmentSpec.equal(8, 2)
+    with pytest.raises(InsufficientDataError,
+                       match="^segment 1: fewer than 2 distinct nonzero"):
+        train_segment_dictionaries(beats, spec, TrainConfig(k=2), np.arange(3))
 
 
 def test_dual_objective_identity_cases():
@@ -328,7 +329,7 @@ def test_encode_beats_against_planted_atom():
     assert codes.codes.shape == (4, 60)
     # every column satisfies the solver's KKT certificate
     from segdict.beat_model import stack_dictionaries
-    stacked = stack_dictionaries(dicts).atoms
+    stacked = stack_dictionaries(dicts)
     for i in range(0, 60, 7):
         assert kkt_violation(stacked, beats.samples[:, i],
                              codes.codes[:, i], 0.01) <= 1e-6
@@ -340,7 +341,7 @@ def test_encode_beats_zero_code_when_lambda_large():
     cfg = TrainConfig(k=3, lam=0.05, outer_iters=3, seed=2)
     dicts = train_segment_dictionaries(beats, spec, cfg, np.arange(12))
     from segdict.beat_model import stack_dictionaries
-    stacked = stack_dictionaries(dicts).atoms
+    stacked = stack_dictionaries(dicts)
     lam_big = float(np.abs(stacked.T @ beats.samples).max()) + 1.0
     codes = encode_beats(beats, dicts, lam_big)
     assert np.all(codes.codes == 0.0)
@@ -387,7 +388,7 @@ def test_dominant_entry_for_beat_equal_to_stacked_atom():
         dicts.append(SegmentDictionary(atoms, j))
     from segdict.beat_model import stack_dictionaries
     stacked = stack_dictionaries(dicts)
-    beats = BeatMatrix(stacked.atoms.copy(), tuple("N" * k))
+    beats = BeatMatrix(stacked.copy(), tuple("N" * k))
     codes = encode_beats(beats, dicts, lam=0.01)
     for i in range(k):
         assert int(np.argmax(np.abs(codes.codes[:, i]))) == i

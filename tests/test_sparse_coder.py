@@ -7,7 +7,7 @@ import pytest
 
 from segdict import sparse_coder
 from segdict.errors import ConvergenceWarning, SingularActiveSetError
-from segdict.sparse_coder import (FeatureSignState, SolverOptions, batch_encode,
+from segdict.sparse_coder import (SolverOptions, batch_encode,
                                   coding_objective, feature_sign_solve,
                                   kkt_violation)
 
@@ -245,15 +245,3 @@ def test_coding_objective_examples():
     Yr = rng.normal(size=(4, 6))
     assert coding_objective(Dr, Yr, np.zeros((3, 6)), 0.3) == pytest.approx(
         0.5 * np.sum(Yr * Yr))
-
-
-def test_state_snapshot_invariants():
-    rng = np.random.default_rng(23)
-    D, y = random_instance(rng, 5, 7)
-    x = feature_sign_solve(D, y, SolverOptions(lam=0.1))
-    state = FeatureSignState.from_solution(D, y, x)
-    assert state.active_set == tuple(int(i) for i in np.flatnonzero(x))
-    assert np.allclose(state.grad, D.T @ (D @ x - y))
-    with pytest.raises(ValueError):
-        FeatureSignState(x=np.array([1.0, 0.0]), theta=np.array([1.0, 0.0]),
-                         active_set=(0, 1), grad=np.zeros(2))
