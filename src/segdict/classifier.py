@@ -9,7 +9,8 @@ by LIBSVM's clipped pair updates with second-order working-set selection
 (Fan, Chen & Lin, JMLR 6, 2005).  One core solves a padded batch of such
 problems in lockstep with elementwise numpy operations, so a machine's
 duals do not depend on its batch: a single machine, the class pairs of a
-one-vs-one (majority vote) model, or the folds x pairs of a grid cell.
+one-vs-one (majority vote) model, or every C x fold x pair of one grid
+gamma.  Problems leave the batch as they stop.
 """
 
 from __future__ import annotations
@@ -29,6 +30,8 @@ DEFAULT_GAMMA_GRID = tuple(2.0 ** e for e in range(-10, 4, 2))   # 2^-10 .. 2^2
 
 def rbf_gram(A, B, gamma: float) -> np.ndarray:
     """Kernel matrix between the columns of A and the columns of B."""
+    if not gamma > 0:
+        raise ValueError(f"gamma must be positive, got {gamma:g}")
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     na = np.einsum("ij,ij->j", A, A)
@@ -103,58 +106,78 @@ def _smo_batch(K, idx, y, C, gamma, pairs, tol, max_sweeps=500,
     """Solve P padded binary duals in lockstep -> (alpha, bias, converged).
 
     Problem p has kernel K[idx[p]][:, idx[p]], labels y[p] (+/-1, then 0
-    as padding), box C, at most max_sweeps updates per sample, and the
-    name pairs[p] in the warning.  on_step(alpha, bias estimate) is called
-    after every update of a one-problem batch."""
-    if C <= 0:
-        raise ValueError("c_penalty must be positive")
-    rows, diag = np.arange(y.shape[0]), K.diagonal()[idx]
-    alpha, G = np.zeros(y.shape), -np.abs(y)   # G: gradient of the dual
-    steps, cap = 0, max_sweeps * np.count_nonzero(y, axis=1)
+    as padding), box C (one value, or one per problem), at most
+    max_sweeps updates per sample, and the name pairs[p] in the warning.
+    A problem leaves the batch as it stops (converged, or at its update
+    cap); its arithmetic is elementwise and the update count is shared, so
+    its duals, bias and outcome do not depend on the batch.
+    on_step(alpha, bias estimate) is called after every update of a
+    one-problem batch."""
+    C = np.broadcast_to(np.asarray(C, dtype=float), y.shape[:1])
+    if not np.all(C > 0):
+        raise ValueError(f"c_penalty must be positive, got "
+                         f"{C[np.argmin(C > 0)]:g}")
+    alpha, G = np.empty(y.shape), np.empty(y.shape)
+    converged = np.empty(y.shape[0], dtype=bool)
+    # the live batch: each problem's row in the outputs, then its duals a,
+    # their gradient g, and its labels, indices, box, diagonal and cap
+    live = np.arange(y.shape[0])
+    a, g, yl, il, c = np.zeros(y.shape), -np.abs(y), y, idx, C
+    diag, cap = K.diagonal()[idx], max_sweeps * np.count_nonzero(y, axis=1)
+    steps = 0
     while True:
-        v = -y * G
+        box, v = c[:, None], -yl * g
         # padding has alpha = 0, so it is in neither index set
-        vu = np.where(np.where(y > 0, alpha < C, alpha > 0), v, -np.inf)
-        low = np.where(y < 0, alpha < C, alpha > 0)
-        i = vu.argmax(1)
+        vu = np.where(np.where(yl > 0, a < box, a > 0), v, -np.inf)
+        low = np.where(yl < 0, a < box, a > 0)
+        i, rows = vu.argmax(1), np.arange(live.size)
         top, bottom = vu[rows, i], np.where(low, v, np.inf).min(1)
         if on_step is not None and steps:
-            on_step(alpha[0].copy(), 0.5 * float(top[0] + bottom[0]))
-        converged = top - bottom <= 0.9 * tol  # margin for the final bias
-        act = ~converged & (steps < cap)
-        if not act.any():
-            break
-        Ki = K[idx[rows, i][:, None], idx]
+            on_step(a[0].copy(), 0.5 * float(top[0] + bottom[0]))
+        ok = top - bottom <= 0.9 * tol  # margin for the final bias
+        stop = ok | (steps >= cap)
+        if stop.any():
+            # a stopped problem's state is final: write it out, drop its row
+            done = live[stop]
+            alpha[done], G[done], converged[done] = a[stop], g[stop], ok[stop]
+            go = ~stop
+            if not go.any():
+                break
+            live, a, g, yl, il, c, diag, cap, v, low, i, top = (
+                x[go] for x in (live, a, g, yl, il, c, diag, cap, v, low, i,
+                                top))
+            rows = np.arange(live.size)
+        Ki = K[il[rows, i][:, None], il]
         quad = Ki[rows, i][:, None] + diag - 2.0 * Ki
         quad[quad <= 0] = 1e-12     # LIBSVM's curvature floor, tau
         gain = top[:, None] - v
         j = np.where(low & (v < top[:, None]), -(gain * gain) / quad,
                      np.inf).argmin(1)
-        Kj = K[idx[rows, j][:, None], idx]
-        ai, aj = alpha[rows, i], alpha[rows, j]
-        yi, yj = y[rows, i], y[rows, j]
-        ni, nj = _pair_step(ai, aj, G[rows, i], G[rows, j], yi == yj,
-                            quad[rows, j], C)
-        # finished problems keep their duals, so their gradient is unchanged
-        ni, nj = np.where(act, ni, ai), np.where(act, nj, aj)
-        G += y * ((yi * (ni - ai))[:, None] * Ki
-                  + (yj * (nj - aj))[:, None] * Kj)
-        alpha[rows, i], alpha[rows, j] = ni, nj
+        Kj = K[il[rows, j][:, None], il]
+        ai, aj = a[rows, i], a[rows, j]
+        yi, yj = yl[rows, i], yl[rows, j]
+        ni, nj = _pair_step(ai, aj, g[rows, i], g[rows, j], yi == yj,
+                            quad[rows, j], c)
+        g += yl * ((yi * (ni - ai))[:, None] * Ki
+                   + (yj * (nj - aj))[:, None] * Kj)
+        a[rows, i], a[rows, j] = ni, nj
         steps += 1
     if not converged.all():
         p = np.argmin(converged)
         warnings.warn(f"SMO hit max_sweeps before satisfying the KKT "
-                      f"conditions on {np.sum(~converged)} of {rows.size} "
-                      f"machines (first: pair {pairs[p]}, C={C:g}, "
-                      f"gamma={gamma:g})", ConvergenceWarning, stacklevel=3)
+                      f"conditions on {np.sum(~converged)} of {y.shape[0]} "
+                      f"machines (first: pair {tuple(map(str, pairs[p]))}, "
+                      f"C={C[p]:g}, gamma={gamma:g})", ConvergenceWarning,
+                      stacklevel=3)
     # final bias: alphas an ulp off a bound go onto it (counted as free,
     # they would pull the mean onto samples that do not set it), then the
     # mean of y - g over free SVs (g = y * (G + 1)), else the midpoint of
     # the interval the bound samples leave feasible
-    alpha[alpha <= 1e-12 * C] = 0.0
-    alpha[alpha >= C - 1e-12 * C] = C
+    box = C[:, None]
+    alpha = np.where(alpha <= 1e-12 * box, 0.0, alpha)
+    alpha = np.where(alpha >= box - 1e-12 * box, box, alpha)
     resid = y - y * (G + 1.0)
-    free = (alpha > 0) & (alpha < C)
+    free = (alpha > 0) & (alpha < box)
     count = free.sum(1)
     # cumsum adds in sample order, so padding cannot change the sum's bits
     mean = np.where(free, resid, 0.0).cumsum(1)[:, -1] / np.maximum(count, 1)
@@ -316,21 +339,27 @@ def _stratified_folds(labels: np.ndarray, folds: int,
 def _cv_correct(X, labels, classes, fold_of, c_values, g_values,
                 tol) -> np.ndarray:
     """Held-out correct counts of every (C, gamma) cell.  The kernel is
-    formed once per gamma; one batch per cell trains every fold x pair."""
+    formed once per gamma, and one batch trains every C x fold x pair of
+    that gamma; problems leave the batch as they stop."""
     folds = range(fold_of.max() + 1)
     pairs, idx, y = _pair_problems(labels, classes, [
         np.flatnonzero(fold_of != f) for f in folds])
-    correct = np.zeros((len(c_values), len(g_values)), dtype=int)
+    n, nc = len(idx), len(c_values)         # n: problems of one cell
+    idx_all, y_all = np.tile(idx, (nc, 1)), np.tile(y, (nc, 1))
+    correct = np.zeros((nc, len(g_values)), dtype=int)
     for gi, g in enumerate(g_values):
         K = rbf_gram(X, X, g)
-        for ci, C in enumerate(c_values):
-            alpha, bias, _ = _smo_batch(K, idx, y, C, g, pairs * len(folds),
-                                        tol)
-            for f in folds:
-                te = np.flatnonzero(fold_of == f)
-                p = slice(f * len(pairs), (f + 1) * len(pairs))
-                F = np.einsum("ps,pst->pt", (alpha * y)[p],
-                              K[idx[p][..., None], te]) + bias[p, None]
+        alpha, bias, _ = _smo_batch(K, idx_all, y_all, np.repeat(c_values, n),
+                                    g, pairs * (nc * len(folds)), tol)
+        coef = (alpha * y_all).reshape(nc, n, -1)
+        bias = bias.reshape(nc, n)
+        for f in folds:
+            te = np.flatnonzero(fold_of == f)
+            p = slice(f * len(pairs), (f + 1) * len(pairs))
+            Kt = K[idx[p][..., None], te]       # shared by every C
+            for ci in range(nc):
+                F = np.einsum("ps,pst->pt", coef[ci, p], Kt)
+                F += bias[ci, p, None]
                 correct[ci, gi] += np.count_nonzero(
                     _vote(F, pairs, classes) == labels[te])
     return correct

@@ -1,10 +1,13 @@
 """SVM tests: kernel closed forms, SMO KKT certificates, grid search."""
 
+import warnings
+from functools import partial
 from itertools import combinations, product
 
 import numpy as np
 import pytest
 
+from segdict import classifier
 from segdict.classifier import (MultiClassSvm, TrainedSvm, _cv_correct,
                                 _pair_problems, _smo_batch, _stratified_folds,
                                 decision_values, grid_search_cv,
@@ -47,6 +50,14 @@ def test_rbf_gram_column_symmetry_sweep():
         g = float(rng.uniform(0.1, 3.0))
         assert abs(kernel(a, b, g) - kernel(b, a, g)) <= 1e-15
         assert 0.0 < kernel(a, b, g) <= 1.0
+
+
+def test_rbf_gram_rejects_non_positive_gamma():
+    A = np.array([[0.0, 1.0]])
+    for gamma, shown in ((-1.0, "-1"), (0.0, "0"), (float("nan"), "nan")):
+        with pytest.raises(ValueError, match=f"gamma must be positive, got "
+                                             f"{shown}$"):
+            rbf_gram(A, A, gamma)
 
 
 def test_two_point_symmetric_machine():
@@ -165,6 +176,60 @@ def test_batch_of_mixed_sizes_equals_single_solves():
             assert bias[p] == b1[0] and ok[p] == ok1[0]
 
 
+def test_batch_of_mixed_c_equals_single_solves():
+    # one batch over five C values, with a tolerance and update cap under
+    # which problems stop after 2 to 88 updates and some hit the cap: each
+    # problem must get its own C's duals, bias and outcome, bit for bit
+    rng = np.random.default_rng(13)
+    sizes = rng.integers(4, 25, size=30)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    X = rng.normal(size=(3, int(sizes.sum())))
+    idx = np.zeros((30, sizes.max()), dtype=int)
+    y = np.zeros(idx.shape)
+    for p, (s, m) in enumerate(zip(starts, sizes)):
+        idx[p, :m] = np.arange(s, s + m)
+        y[p, :m] = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+        y[p, 0], y[p, 1] = 1.0, -1.0
+    C = np.array([0.01, 0.5, 8.0, 200.0, 5000.0])[np.arange(30) % 5]
+    pairs = [(f"p{p}", "q") for p in range(30)]
+    K = rbf_gram(X, X, 0.5)
+    with pytest.warns(ConvergenceWarning) as caught:
+        alpha, bias, ok = _smo_batch(K, idx, y, C, 0.5, pairs, 1e-3,
+                                     max_sweeps=4)
+    updates = []
+    with warnings.catch_warnings(record=True):
+        for p, m in enumerate(sizes):
+            count = []
+            a1, b1, ok1 = _smo_batch(K, idx[p:p + 1, :m], y[p:p + 1, :m],
+                                     C[p], 0.5, pairs[p:p + 1], 1e-3,
+                                     max_sweeps=4,
+                                     on_step=lambda a, b: count.append(1))
+            updates.append(len(count))
+            assert np.array_equal(alpha[p, :m], a1[0])
+            assert np.all(alpha[p, m:] == 0.0)
+            assert bias[p] == b1[0] and ok[p] == ok1[0]
+    assert min(updates) <= 5 and max(updates) >= 80
+    assert np.any(updates == 4 * sizes) and 0 < np.sum(~ok) < 30
+    # the warning names the first unconverged machine's own C
+    first = np.argmin(ok)
+    assert len(caught) == 1 and C[first] != C[0]
+    assert str(caught[0].message).endswith(
+        f"on {np.sum(~ok)} of 30 machines (first: pair ('p{first}', 'q'), "
+        f"C={C[first]:g}, gamma=0.5)")
+
+
+def test_batch_rejects_a_non_positive_c_of_any_problem():
+    X, labels = _blobs("abc", 6, seed=2)
+    arr = np.array(labels)
+    pairs, idx, y = _pair_problems(arr, list("abc"), [np.arange(arr.size)])
+    K = rbf_gram(X, X, 1.0)
+    for C, shown in (([1.0, 0.0, 2.0], "0"), ([1.0, 2.0, -4.0], "-4"),
+                     ([float("nan"), 1.0, 2.0], "nan"), (-1.0, "-1")):
+        with pytest.raises(ValueError, match=f"c_penalty must be positive, "
+                                             f"got {shown}$"):
+            _smo_batch(K, idx, y, C, 1.0, pairs, 1e-3)
+
+
 def _blobs(classes, per_class, seed):
     rng = np.random.default_rng(seed)
     centers = 2.0 * rng.normal(size=(3, len(classes)))
@@ -218,6 +283,20 @@ def test_update_cap_warns_once_per_call_naming_the_first_machine():
         machine = smo_train(X[:, idx[0]], y[0], 512.0, 4.0, max_sweeps=0,
                             class_pair=("a", "b"))
     assert len(caught) == 1 and not machine.converged
+
+
+def test_grid_search_warns_at_most_once_per_gamma(monkeypatch):
+    X, labels = _blobs("abc", 6, seed=2)
+    monkeypatch.setattr(classifier, "_smo_batch",
+                        partial(classifier._smo_batch, max_sweeps=0))
+    c_values, g_values = [0.5, 4.0], [0.25, 1.0, 4.0]
+    with pytest.warns(ConvergenceWarning) as caught:
+        grid_search_cv(X, labels, c_values, g_values, folds=3)
+    # each gamma's batch holds 2 C x 3 folds x 3 pairs machines
+    assert [str(w.message) for w in caught] == [
+        "SMO hit max_sweeps before satisfying the KKT conditions on 18 of "
+        f"18 machines (first: pair ('a', 'b'), C=0.5, gamma={g:g})"
+        for g in g_values]
 
 
 def test_smo_rejects_single_class():
