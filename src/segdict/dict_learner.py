@@ -13,12 +13,16 @@ G = Y X^T (X X^T + Lam)^{-1}, the gradient and Hessian have closed forms
     dR/dlam_k         = ||G e_k||^2 - 1
     d2R/dlam_k dlam_l = -2 (G^T G)_{kl} * ((X X^T + Lam)^{-1})_{kl}.
 
+Every system is solved through the inverse L^{-1} of its Cholesky factor:
+with L L^T = X X^T + Lam, R = Tr(Y^T Y) - ||L^{-1} X Y^T||_F^2 - Tr(Lam), and
+a failed factorization marks a step that leaves the positive definite cone.
+
 Newton stops on its relative step size, which can leave an atom a hair over
 unit norm.  A feasibility guard then raises that atom's dual variable by the
 exact amount that returns it to unit norm: by Sherman-Morrison, raising
 lam_w by t divides atom w by 1 + t ((X X^T + Lam)^{-1})_ww, so the step
-costs one triangular solve and one refactorization.  It corrects the worst
-atom first, at most 5 k times.
+costs one refactorization.  It corrects the worst atom first, at most 5 k
+times.
 
 Atoms never selected by any code are left at zero by the dual and are
 re-initialized from random data columns so all k atoms stay effective.
@@ -31,7 +35,7 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 from .beat_model import (ATOM_NORM_SLACK, BeatMatrix, SegmentDictionary,
                          SegmentSpec, SparseCodeMatrix, segment_view,
@@ -115,19 +119,25 @@ def _init_atoms(segments: np.ndarray, k: int, rng: np.random.Generator) -> np.nd
     return atoms
 
 
+def _inverse_factor(A: np.ndarray) -> np.ndarray:
+    """L^{-1} for the lower Cholesky factor L of A, so that
+    A^{-1} = L^{-T} L^{-1}; raises LinAlgError when A is not positive
+    definite."""
+    return np.linalg.inv(np.linalg.cholesky(A))
+
+
 def dual_objective(lam, X, Y) -> float:
-    """R(lam), evaluated through a Cholesky factorization of X X^T + Lam."""
+    """R(lam), evaluated through a Cholesky factorization of X X^T + Lam;
+    raises IndefiniteSystemError when that system is not positive definite."""
     lam = np.asarray(lam, dtype=float).ravel()
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
-    A = X @ X.T + np.diag(lam)
     try:
-        c = cho_factor(A, lower=True, check_finite=False)
+        Linv = _inverse_factor(X @ X.T + np.diag(lam))
     except LinAlgError as exc:
         raise IndefiniteSystemError("X X^T + Lam is not positive definite") from exc
-    XYt = X @ Y.T
-    quad = float(np.sum(cho_solve(c, XYt, check_finite=False) * XYt))
-    return float(np.sum(Y * Y)) - quad - float(lam.sum())
+    W = Linv @ (X @ Y.T)
+    return float(np.sum(Y * Y)) - float(np.sum(W * W)) - float(lam.sum())
 
 
 def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
@@ -141,19 +151,17 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
     XXt = X @ X.T
     XYt = X @ Y.T
     yty = float(np.sum(Y * Y))
-    eye = np.eye(k)
 
-    def factor(lam_v):
-        return cho_factor(XXt + np.diag(lam_v), lower=True, check_finite=False)
-
-    def evaluate(c_fac, lam_v):
-        M = cho_solve(c_fac, XYt, check_finite=False)  # (XX^T+Lam)^{-1} X Y^T
-        r = yty - float(np.sum(M * XYt)) - float(lam_v.sum())
-        return r, M
+    def evaluate(lam_v):
+        """R(lam_v), M and L^{-1}; LinAlgError when X X^T + Lam is not
+        positive definite."""
+        Linv = _inverse_factor(XXt + np.diag(lam_v))
+        W = Linv @ XYt
+        r = yty - float(np.sum(W * W)) - float(lam_v.sum())
+        return r, Linv.T @ W, Linv
 
     lam = np.ones(k)
-    c = factor(lam)
-    r_cur, M = evaluate(c, lam)
+    r_cur, M, Linv = evaluate(lam)
     history = [r_cur]
 
     def backtrack(direction):
@@ -163,13 +171,12 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
             cand = np.maximum(lam + t * direction, 0.0)
             if not np.array_equal(cand, lam):
                 try:
-                    c_cand = factor(cand)
+                    r_cand, M_cand, Linv_cand = evaluate(cand)
                 except LinAlgError:
                     t *= 0.5
                     continue
-                r_cand, M_cand = evaluate(c_cand, cand)
                 if r_cand > r_cur:
-                    return cand, c_cand, r_cand, M_cand
+                    return cand, r_cand, M_cand, Linv_cand
             t *= 0.5
         return None
 
@@ -182,13 +189,11 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
         free = (lam > 0.0) | (grad > 0.0)
         if not free.any():
             break
-        Ainv = cho_solve(c, eye, check_finite=False)
-        H = -2.0 * GtG * Ainv
+        H = -2.0 * GtG * (Linv.T @ Linv)
         direction = np.zeros(k)
         try:
-            ch = cho_factor(-H[np.ix_(free, free)], lower=True,
-                            check_finite=False)
-            direction[free] = cho_solve(ch, grad[free], check_finite=False)
+            Hinv = _inverse_factor(-H[np.ix_(free, free)])
+            direction[free] = Hinv.T @ (Hinv @ grad[free])
         except LinAlgError:
             direction[free] = grad[free]   # gradient ascent fallback
 
@@ -200,7 +205,7 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
             step = backtrack(fallback)
         if step is None:
             break                          # projected-gradient stationary
-        cand, c, r_cur, M = step
+        cand, r_cur, M, Linv = step
         step_norm = float(np.linalg.norm(cand - lam))
         lam = cand
         history.append(r_cur)
@@ -217,10 +222,9 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
         worst = int(np.argmax(norms2))
         if norms2[worst] <= 1.0 + _GUARD_SLACK:
             break
-        a_ww = cho_solve(c, eye[:, worst], check_finite=False)[worst]
+        a_ww = Linv[:, worst] @ Linv[:, worst]      # (A^{-1})_ww
         lam[worst] += (np.sqrt(norms2[worst]) - 1.0) / a_ww
-        c = factor(lam)
-        M = cho_solve(c, XYt, check_finite=False)
+        _, M, Linv = evaluate(lam)
         norms2 = np.einsum("ij,ij->i", M, M)
     return lam, M, history, converged
 

@@ -18,6 +18,7 @@ from .errors import (DegenerateBeatError, EmptyDatasetError, FlatBeatWarning,
                      MixedChannelError, ParseError)
 
 MIN_SAMPLES_PER_CHANNEL = 8
+_CHUNK = 256        # beats centred and normalized at once; bounds the temporaries
 
 
 @dataclass(frozen=True)
@@ -55,7 +56,12 @@ class RawBeatRecord:
 
 
 def load_dataset(path) -> list[RawBeatRecord]:
-    """Parse a beat CSV file into raw records, labels preserved verbatim."""
+    """Parse a beat CSV file into raw records, labels preserved verbatim.
+
+    All data rows go through numpy's C parser in one call; a file that the
+    call rejects, or that holds a row RawBeatRecord would reject, is parsed
+    again one line at a time, so that the error names its row.
+    """
     with open(path, "r", encoding="utf-8", newline="") as fh:
         lines = fh.read().splitlines()
 
@@ -71,6 +77,42 @@ def load_dataset(path) -> list[RawBeatRecord]:
     if start < len(lines) and lines[start].split(",", 1)[0].strip() == "label":
         start += 1
 
+    rows = [line for line in map(str.strip, lines[start:]) if line]
+    records = _parse_rows(rows, channels)
+    if records is None:
+        records = _parse_lines(lines, start, channels)
+    if not records:
+        raise EmptyDatasetError(f"no data rows in {path}")
+    return records
+
+
+def _parse_rows(rows: list[str], channels: int) -> list[RawBeatRecord] | None:
+    """Records of the nonblank, stripped data rows, parsed as one matrix;
+    None when the parse or a record's checks fail, so that the rows must go
+    through _parse_lines.
+
+    np.loadtxt accepts a subset of what float() accepts (not "1_0", for
+    one) and reads the same value from it, correctly rounded; with usecols
+    it ignores extra fields, so the rows' field counts are compared first.
+    """
+    if not rows:
+        return []
+    width = rows[0].count(",")
+    if width == 0 or any(row.count(",") != width for row in rows):
+        return None
+    try:
+        data = np.loadtxt(rows, delimiter=",", usecols=range(1, width + 1),
+                          comments=None, ndmin=2)
+        return [RawBeatRecord(row.split(",", 1)[0].strip(), samples, channels)
+                for row, samples in zip(rows, data)]
+    except ValueError:
+        return None
+
+
+def _parse_lines(lines: list[str], start: int, channels: int
+                 ) -> list[RawBeatRecord]:
+    """Records of lines[start:], parsed one line at a time; raises a
+    ParseError naming the first bad row."""
     records = []
     for lineno in range(start, len(lines)):
         line = lines[lineno].strip()
@@ -88,8 +130,6 @@ def load_dataset(path) -> list[RawBeatRecord]:
             records.append(RawBeatRecord(label, samples, channels))
         except ValueError as exc:
             raise ParseError(f"row {lineno + 1}: {exc}") from exc
-    if not records:
-        raise EmptyDatasetError(f"no data rows in {path}")
     return records
 
 
@@ -99,17 +139,22 @@ def resample_beat(rec: RawBeatRecord, target_len: int) -> np.ndarray:
     Endpoints are preserved exactly; channels come back concatenated, so the
     output has length target_len * channel_count.
     """
-    if target_len < 2:
-        raise ValueError("target_len must be >= 2")
+    grid, xp = _grid(rec.per_channel_len, target_len)
     out = np.empty(target_len * rec.channel_count)
     for c in range(rec.channel_count):
-        chan = rec.channel(c)
-        n = chan.size
-        if n < 2:
-            raise DegenerateBeatError(f"channel {c} has {n} sample(s)")
-        grid = np.linspace(0.0, n - 1.0, target_len)
-        out[c * target_len:(c + 1) * target_len] = np.interp(grid, np.arange(n), chan)
+        out[c * target_len:(c + 1) * target_len] = np.interp(grid, xp,
+                                                             rec.channel(c))
     return out
+
+
+def _grid(n: int, target_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """The target_len uniform points at which a channel of n samples is
+    interpolated, and the n sample positions."""
+    if target_len < 2:
+        raise ValueError("target_len must be >= 2")
+    if n < 2:
+        raise DegenerateBeatError(f"channel 0 has {n} sample(s)")
+    return np.linspace(0.0, n - 1.0, target_len), np.arange(n)
 
 
 def normalize_beat(v: np.ndarray) -> np.ndarray:
@@ -133,7 +178,12 @@ def normalize_beat(v: np.ndarray) -> np.ndarray:
 
 
 def build_beat_matrix(records: list[RawBeatRecord], target_len: int) -> BeatMatrix:
-    """Resample and normalize every record into the columns of a BeatMatrix."""
+    """Resample and normalize every record into the columns of a BeatMatrix.
+
+    Column i is normalize_beat(resample_beat(records[i], target_len)) bit for
+    bit.  Records of one length share one interpolation grid, and beats are
+    centred and normalized _CHUNK at a time.
+    """
     if not records:
         raise EmptyDatasetError("no records")
     channels = records[0].channel_count
@@ -143,6 +193,25 @@ def build_beat_matrix(records: list[RawBeatRecord], target_len: int) -> BeatMatr
                 f"record {i} has {rec.channel_count} channels, expected {channels}")
     gamma = target_len * channels
     samples = np.empty((gamma, len(records)))
-    for i, rec in enumerate(records):
-        samples[:, i] = normalize_beat(resample_beat(rec, target_len))
+    grids = {}
+    for start in range(0, len(records), _CHUNK):
+        chunk = records[start:start + _CHUNK]
+        R = np.empty((len(chunk), channels, target_len))
+        for r, rec in enumerate(chunk):
+            n = rec.per_channel_len
+            if n not in grids:
+                grids[n] = _grid(n, target_len)
+            for c in range(channels):
+                R[r, c] = np.interp(*grids[n], rec.channel(c))
+        R = R.reshape(len(chunk), gamma)
+        # the per-row mean and dot sum each row as normalize_beat's mean
+        # and 1-D norm do; flat rows, and rows whose arithmetic overflowed
+        # to nan, go through normalize_beat, which warns or raises
+        C = R - R.mean(axis=1, keepdims=True)
+        norm = np.sqrt(np.matmul(C[:, None, :], C[:, :, None])[:, 0, 0])
+        plain = norm > 1e-12 * np.maximum(1.0, np.abs(R).max(axis=1))
+        C /= np.where(plain, norm, 1.0)[:, None]
+        for r in np.flatnonzero(~plain):
+            C[r] = normalize_beat(R[r])
+        samples[:, start:start + len(chunk)] = C.T
     return BeatMatrix(samples, tuple(r.label for r in records), channels)

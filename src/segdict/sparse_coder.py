@@ -33,7 +33,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from numpy.linalg import LinAlgError
 
 from .errors import ConvergenceWarning, SingularActiveSetError
 
@@ -61,11 +61,11 @@ class SolverOptions:
 
 
 def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    c, low = cho_factor(A, lower=True, check_finite=False)
-    piv = np.diag(c) ** 2
+    L = np.linalg.cholesky(A)
+    piv = np.diag(L) ** 2
     if piv.min() < _PIVOT_RTOL * piv.max():
         raise LinAlgError("pivot below threshold")
-    return cho_solve((c, low), b, check_finite=False)
+    return _cholesky_solve(L[None], b[None])[0]
 
 
 def _solve_active(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ from segdict.dict_learner import (DualState, TrainConfig, _init_atoms,
                                   _train_one, dual_objective, encode_beats,
                                   lagrange_dual_update,
                                   train_segment_dictionaries)
-from segdict.errors import ConvergenceWarning, InsufficientDataError
+from segdict.errors import (ConvergenceWarning, IndefiniteSystemError,
+                            InsufficientDataError)
 from segdict.ingest import normalize_beat
 from segdict.sparse_coder import kkt_violation
 from segdict.synthetic import generate_planted_dataset
@@ -55,6 +56,13 @@ def test_dual_objective_identity_cases():
     eye = np.eye(2)
     assert dual_objective(np.zeros(2), eye, eye) == pytest.approx(0.0)
     assert dual_objective(np.ones(2), eye, eye) == pytest.approx(-1.0)
+
+
+def test_dual_objective_rejects_an_indefinite_system():
+    # X X^T + Lam = diag(-1, 2)
+    eye = np.eye(2)
+    with pytest.raises(IndefiniteSystemError, match="not positive definite"):
+        dual_objective(np.array([-2.0, 1.0]), eye, eye)
 
 
 def test_dual_objective_matches_lagrangian_min():
@@ -184,13 +192,13 @@ def unit_norm_root(X, Y, lam, w):
 def test_feasibility_guard_takes_the_exact_unit_norm_step(monkeypatch):
     X, Y, cfg = guard_fixture()
     factorizations = []
-    real_factor = dict_learner.cho_factor
+    real_solve = dict_learner._inverse_factor
 
-    def counting_factor(*args, **kwargs):
+    def counting_solve(*args, **kwargs):
         factorizations.append(1)
-        return real_factor(*args, **kwargs)
+        return real_solve(*args, **kwargs)
 
-    monkeypatch.setattr(dict_learner, "cho_factor", counting_factor)
+    monkeypatch.setattr(dict_learner, "_inverse_factor", counting_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         D, dual = lagrange_dual_update(X, Y, cfg)
