@@ -23,8 +23,8 @@ from .evaluation import (EvalReport, FftFeatures, SparseDictFeatures,
                          stratified_split, wilcoxon_rank_sum)
 from .ingest import (RawBeatRecord, build_beat_matrix, load_dataset,
                      normalize_beat, resample_beat)
-from .sparse_coder import (SolverOptions, batch_encode, coding_objective,
-                           feature_sign_solve, kkt_violation)
+from .sparse_coder import (batch_encode, coding_objective, feature_sign_solve,
+                           kkt_violation)
 from .synthetic import generate_planted_dataset, write_beats_csv
 
 __version__ = "0.1.0"
@@ -43,7 +43,7 @@ __all__ = [
     "run_single", "stratified_split", "wilcoxon_rank_sum",
     "RawBeatRecord", "build_beat_matrix", "load_dataset", "normalize_beat",
     "resample_beat",
-    "SolverOptions", "batch_encode", "coding_objective",
-    "feature_sign_solve", "kkt_violation",
+    "batch_encode", "coding_objective", "feature_sign_solve",
+    "kkt_violation",
     "generate_planted_dataset", "write_beats_csv",
 ]

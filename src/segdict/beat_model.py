@@ -176,8 +176,8 @@ class SparseCodeMatrix:
     def __post_init__(self):
         arr = _as_matrix(self.codes, "codes")
         object.__setattr__(self, "codes", arr)
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not self.lam > 0:
+            raise ValueError(f"lam must be positive, got {self.lam:g}")
 
     @property
     def k(self) -> int:

@@ -26,6 +26,8 @@ from .errors import (ConvergenceWarning, InsufficientDataError,
 
 DEFAULT_C_GRID = tuple(2.0 ** e for e in range(-3, 11, 2))       # 2^-3 .. 2^9
 DEFAULT_GAMMA_GRID = tuple(2.0 ** e for e in range(-10, 4, 2))   # 2^-10 .. 2^2
+_KKT_TOL = 1e-3
+_MAX_SWEEPS = 500
 
 
 def rbf_gram(A, B, gamma: float) -> np.ndarray:
@@ -101,16 +103,16 @@ def _pair_step(ai, aj, gi, gj, same, quad, c):
     return np.where(same, qi, pi), np.where(same, qj, pj)
 
 
-def _smo_batch(K, idx, y, C, gamma, pairs, tol, max_sweeps=500,
-               on_step=None):
+def _smo_batch(K, idx, y, C, gamma, pairs, on_step=None):
     """Solve P padded binary duals in lockstep -> (alpha, bias, converged).
 
     Problem p has kernel K[idx[p]][:, idx[p]], labels y[p] (+/-1, then 0
-    as padding), box C (one value, or one per problem), at most
-    max_sweeps updates per sample, and the name pairs[p] in the warning.
-    A problem leaves the batch as it stops (converged, or at its update
-    cap); its arithmetic is elementwise and the update count is shared, so
-    its duals, bias and outcome do not depend on the batch.
+    as padding), box C (one value, or one per problem), and the name
+    pairs[p] in the warning.  It converges when its maximal violating pair
+    is within 0.9 * _KKT_TOL, and stops unconverged after _MAX_SWEEPS
+    updates per sample.  A problem leaves the batch as it stops; its
+    arithmetic is elementwise and the update count is shared, so its
+    duals, bias and outcome do not depend on the batch.
     on_step(alpha, bias estimate) is called after every update of a
     one-problem batch."""
     C = np.broadcast_to(np.asarray(C, dtype=float), y.shape[:1])
@@ -123,7 +125,7 @@ def _smo_batch(K, idx, y, C, gamma, pairs, tol, max_sweeps=500,
     # their gradient g, and its labels, indices, box, diagonal and cap
     live = np.arange(y.shape[0])
     a, g, yl, il, c = np.zeros(y.shape), -np.abs(y), y, idx, C
-    diag, cap = K.diagonal()[idx], max_sweeps * np.count_nonzero(y, axis=1)
+    diag, cap = K.diagonal()[idx], _MAX_SWEEPS * np.count_nonzero(y, axis=1)
     steps = 0
     while True:
         box, v = c[:, None], -yl * g
@@ -134,7 +136,7 @@ def _smo_batch(K, idx, y, C, gamma, pairs, tol, max_sweeps=500,
         top, bottom = vu[rows, i], np.where(low, v, np.inf).min(1)
         if on_step is not None and steps:
             on_step(a[0].copy(), 0.5 * float(top[0] + bottom[0]))
-        ok = top - bottom <= 0.9 * tol  # margin for the final bias
+        ok = top - bottom <= 0.9 * _KKT_TOL  # margin for the final bias
         stop = ok | (steps >= cap)
         if stop.any():
             # a stopped problem's state is final: write it out, drop its row
@@ -188,11 +190,10 @@ def _smo_batch(K, idx, y, C, gamma, pairs, tol, max_sweeps=500,
     return alpha, np.where(count > 0, mean, 0.5 * (lo + hi)), converged
 
 
-def _train(X, idx, y, C, gamma, pairs, tol, max_sweeps=500,
-           on_step=None) -> list[TrainedSvm]:
+def _train(X, idx, y, C, gamma, pairs, on_step=None) -> list[TrainedSvm]:
     """One batch on the columns of X; sv_indices count within a problem."""
     alpha, bias, ok = _smo_batch(rbf_gram(X, X, gamma), idx, y, C, gamma,
-                                 pairs, tol, max_sweeps, on_step)
+                                 pairs, on_step)
     svs = [np.flatnonzero(a > 0) for a in alpha]
     return [TrainedSvm(X[:, idx[p, sv]], alpha[p, sv] * y[p, sv],
                        float(bias[p]), float(gamma), float(C), pair, sv,
@@ -201,12 +202,11 @@ def _train(X, idx, y, C, gamma, pairs, tol, max_sweeps=500,
 
 
 def smo_train(features, labels, c_penalty: float, gamma: float,
-              tol: float = 1e-3, max_sweeps: int = 500,
               class_pair: tuple[str, str] = ("+1", "-1"),
               on_step=None) -> TrainedSvm:
     """Train one binary machine on +/-1 labels; samples are columns.
 
-    At most ``max_sweeps * m`` pair updates are made on m samples;
+    At most ``_MAX_SWEEPS * m`` pair updates are made on m samples;
     ``on_step(alpha, bias)``, a debug hook, is called after each."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=float).ravel()
@@ -218,7 +218,7 @@ def smo_train(features, labels, c_penalty: float, gamma: float,
     if np.all(y == y[0]):
         raise SingleClassError("both classes must be present")
     return _train(X, np.arange(m)[None], y[None], c_penalty, gamma,
-                  [class_pair], tol, max_sweeps, on_step)[0]
+                  [class_pair], on_step)[0]
 
 
 def kkt_violations(machine: TrainedSvm, features, labels) -> np.ndarray:
@@ -283,13 +283,13 @@ def _pair_problems(labels, classes, train_sets):
     return pairs, idx, y
 
 
-def train_multiclass(features, labels, c_penalty: float, gamma: float,
-                     tol: float = 1e-3) -> MultiClassSvm:
+def train_multiclass(features, labels, c_penalty: float,
+                     gamma: float) -> MultiClassSvm:
     """Train one machine per class pair, all in one batch; +1 maps to the
     pair's first label."""
     X, labels, classes = _labelled(features, labels)
     pairs, idx, y = _pair_problems(labels, classes, [np.arange(labels.size)])
-    machines = _train(X, idx, y, c_penalty, gamma, pairs, tol)
+    machines = _train(X, idx, y, c_penalty, gamma, pairs)
     return MultiClassSvm(tuple(machines), tuple(classes))
 
 
@@ -336,8 +336,8 @@ def _stratified_folds(labels: np.ndarray, folds: int,
     return assign
 
 
-def _cv_correct(X, labels, classes, fold_of, c_values, g_values,
-                tol) -> np.ndarray:
+def _cv_correct(X, labels, classes, fold_of, c_values,
+                g_values) -> np.ndarray:
     """Held-out correct counts of every (C, gamma) cell.  The kernel is
     formed once per gamma, and one batch trains every C x fold x pair of
     that gamma; problems leave the batch as they stop."""
@@ -350,7 +350,7 @@ def _cv_correct(X, labels, classes, fold_of, c_values, g_values,
     for gi, g in enumerate(g_values):
         K = rbf_gram(X, X, g)
         alpha, bias, _ = _smo_batch(K, idx_all, y_all, np.repeat(c_values, n),
-                                    g, pairs * (nc * len(folds)), tol)
+                                    g, pairs * (nc * len(folds)))
         coef = (alpha * y_all).reshape(nc, n, -1)
         bias = bias.reshape(nc, n)
         for f in folds:
@@ -366,8 +366,7 @@ def _cv_correct(X, labels, classes, fold_of, c_values, g_values,
 
 
 def grid_search_cv(features, labels, c_grid=None, gamma_grid=None,
-                   folds: int = 3, seed: int = 0,
-                   tol: float = 1e-3) -> tuple[float, float]:
+                   folds: int = 3, seed: int = 0) -> tuple[float, float]:
     """Pick (C, gamma) by stratified k-fold accuracy; ties prefer the
     smaller C, then smaller gamma."""
     if folds < 2:
@@ -387,7 +386,7 @@ def grid_search_cv(features, labels, c_grid=None, gamma_grid=None,
                              f"got {bad[0]:g}")
     X, labels, classes = _labelled(features, labels)
     fold_of = _stratified_folds(labels, folds, np.random.default_rng(seed))
-    correct = _cv_correct(X, labels, classes, fold_of, c_values, g_values, tol)
+    correct = _cv_correct(X, labels, classes, fold_of, c_values, g_values)
     # argmax takes the first best cell: the smallest C, then gamma
     ci, gi = np.unravel_index(np.argmax(correct), correct.shape)
     return c_values[ci], g_values[gi]

@@ -56,10 +56,13 @@ class RunConfig:
     def __post_init__(self):
         if self.target_len < 2:
             raise ConfigError("target_len must be >= 2")
-        if self.j_count < 1 or self.k < 2 or self.lam <= 0:
-            raise ConfigError("j_count >= 1, k >= 2 and lambda > 0 required")
-        if self.outer_iters < 1 or self.newton_max < 1 or self.newton_tol <= 0:
-            raise ConfigError("bad dictionary-training controls")
+        if self.j_count < 1 or self.k < 2 or not self.lam > 0:
+            raise ConfigError(f"j_count >= 1, k >= 2 and lambda > 0 required, got "
+                              f"j_count={self.j_count}, k={self.k}, lambda={self.lam:g}")
+        if self.outer_iters < 1 or self.newton_max < 1 or not self.newton_tol > 0:
+            raise ConfigError(f"bad dictionary-training controls, got outer_iters="
+                              f"{self.outer_iters}, newton_max={self.newton_max}, "
+                              f"newton_tol={self.newton_tol:g}")
         if self.subset_size < 1 or self.kmeans_max_iter < 1 or self.n_coeffs < 1:
             raise ConfigError("subset_size, kmeans_max_iter, n_coeffs must be >= 1")
         if self.folds < 2 or self.reps < 1:

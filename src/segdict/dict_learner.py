@@ -42,7 +42,7 @@ from .beat_model import (ATOM_NORM_SLACK, BeatMatrix, SegmentDictionary,
                          stack_dictionaries)
 from .errors import (ConvergenceWarning, IndefiniteSystemError,
                      InsufficientDataError, SegdictError, ShapeMismatchError)
-from .sparse_coder import SolverOptions, batch_encode, coding_objective
+from .sparse_coder import batch_encode, coding_objective
 
 _EARLY_STOP_REL = 1e-6
 # the guard corrects an atom whose squared norm exceeds 1 + _GUARD_SLACK,
@@ -86,12 +86,13 @@ class TrainConfig:
     def __post_init__(self):
         if self.k < 2:
             raise ValueError("k must be >= 2")
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
+        if not self.lam > 0:
+            raise ValueError(f"lam must be positive, got {self.lam:g}")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
-        if self.newton_tol <= 0 or self.newton_max < 1:
-            raise ValueError("bad Newton controls")
+        if not self.newton_tol > 0 or self.newton_max < 1:
+            raise ValueError(f"bad Newton controls: newton_tol="
+                             f"{self.newton_tol:g}, newton_max={self.newton_max}")
         if self.subset_size < 1:
             raise ValueError("subset_size must be >= 1")
 
@@ -297,11 +298,10 @@ def _train_one(segments: np.ndarray, cfg: TrainConfig, segment_index: int,
     """Alternate coding and dictionary updates on one segment's data."""
     rng = np.random.default_rng([cfg.seed, segment_index])
     dictionary = SegmentDictionary(_init_atoms(segments, cfg.k, rng), segment_index)
-    opts = SolverOptions(lam=cfg.lam)
     prev = None
     flat_streak = 0
     for it in range(cfg.outer_iters):
-        codes = batch_encode(dictionary.atoms, segments, opts)
+        codes = batch_encode(dictionary.atoms, segments, cfg.lam)
         if not codes.any():
             lam_max = float(np.abs(dictionary.atoms.T @ segments).max())
             raise InsufficientDataError(
@@ -347,12 +347,10 @@ def train_segment_dictionaries(beats: BeatMatrix, spec: SegmentSpec,
 def encode_beats(beats: BeatMatrix, dicts: list[SegmentDictionary],
                  lam: float) -> SparseCodeMatrix:
     """Stack the segment dictionaries and encode every beat against them."""
-    if lam <= 0:
-        raise ValueError("lam must be positive")
     stacked = stack_dictionaries(dicts)
     if stacked.shape[0] != beats.gamma:
         raise ShapeMismatchError(
             f"stacked dictionary covers {stacked.shape[0]} rows, "
             f"beats have {beats.gamma}")
-    codes = batch_encode(stacked, beats.samples, SolverOptions(lam=lam))
+    codes = batch_encode(stacked, beats.samples, lam)
     return SparseCodeMatrix(codes, lam)

@@ -122,6 +122,13 @@ def _parse_lines(lines: list[str], start: int, channels: int
         if len(fields) < 2:
             raise ParseError(f"row {lineno + 1}: expected label and samples")
         label = fields[0].strip()
+        # float() would read "1_0" as 10 and "٣" as 3; padding, Unicode
+        # whitespace included, is stripped as float() and np.loadtxt do
+        odd = [t for t in map(str.strip, fields[1:])
+               if "_" in t or not t.isascii()]
+        if odd:
+            raise ParseError(f"row {lineno + 1}: sample {odd[0]!r} holds "
+                             "'_' or a non-ASCII character")
         try:
             samples = np.array([float(f) for f in fields[1:]], dtype=float)
         except ValueError as exc:

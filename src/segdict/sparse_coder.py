@@ -7,10 +7,10 @@ closed form, and run a discrete line search across the sign changes on the
 way to that solution.  The returned vector satisfies the subgradient
 optimality conditions
 
-    x_k != 0:  |grad_k + lam * sign(x_k)| <= opt_tol
-    x_k == 0:  |grad_k| <= lam + opt_tol
+    x_k != 0:  |grad_k + lam * sign(x_k)| <= _OPT_TOL
+    x_k == 0:  |grad_k| <= lam + _OPT_TOL
 
-where grad = D^T (D x - y).
+where grad = D^T (D x - y) and _OPT_TOL = 1e-7; lam is the only control.
 
 One core solves every column.  batch_encode takes the columns in fixed
 blocks of _BLOCK and runs feature-sign search on a block in lockstep: each
@@ -22,66 +22,34 @@ of the block are scored together.  Every per-column product is its own
 item of a stacked ``np.matmul`` or of a batched ``np.linalg`` call, never
 one product over the block, so a column's code is bit for bit the same
 whichever columns share its block; feature_sign_solve is the one-column
-case.  A column that stalls (its line search cannot decrease the
-objective) or reaches max_iter keeps its last iterate, and each call warns
-once per kind of stop with the number of such columns and the first one.
+case.  An active set whose factorization fails, or whose pivots spread
+more than _PIVOT_RTOL apart, is factored once more with a small ridge on
+its active diagonal, in the same stack.  A column that stalls (its line
+search cannot decrease the objective) or takes _MAX_STEPS steps keeps its
+last iterate, and each call warns once per kind of stop with the number of
+such columns and the first one.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import LinAlgError
 
 from .errors import ConvergenceWarning, SingularActiveSetError
 
+_OPT_TOL = 1e-7
+_MAX_STEPS = 1000            # feature-sign steps per column
 _PIVOT_RTOL = 1e-12
 _RIDGE_SCALE = 1e-10
 _BLOCK = 256                 # columns solved in lockstep; bounds the temporaries
 _CONVERGED, _STALLED, _MAX_ITER = range(3)
 
 
-@dataclass(frozen=True)
-class SolverOptions:
-    """Regularizer and stopping controls for feature_sign_solve."""
-
-    lam: float = 0.1
-    max_iter: int = 1000
-    opt_tol: float = 1e-7
-
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError("lam must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
-        if self.opt_tol <= 0:
-            raise ValueError("opt_tol must be positive")
-
-
-def _solve_spd(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    L = np.linalg.cholesky(A)
-    piv = np.diag(L) ** 2
-    if piv.min() < _PIVOT_RTOL * piv.max():
-        raise LinAlgError("pivot below threshold")
-    return _cholesky_solve(L[None], b[None])[0]
-
-
-def _solve_active(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """SPD solve with one ridge retry before declaring the set singular."""
-    try:
-        return _solve_spd(A, b)
-    except LinAlgError:
-        ridge = _RIDGE_SCALE * np.trace(A) / A.shape[0]
-        try:
-            return _solve_spd(A + ridge * np.eye(A.shape[0]), b)
-        except LinAlgError as exc:
-            raise SingularActiveSetError(
-                f"rank-deficient active set of size {A.shape[0]}") from exc
-
-
-def _validated(D, Y) -> tuple[np.ndarray, np.ndarray]:
+def _validated(D, Y, lam) -> tuple[np.ndarray, np.ndarray]:
+    if not lam > 0:
+        raise ValueError(f"lam must be positive, got {lam:g}")
     D = np.asarray(D, dtype=float)
     Y = np.asarray(Y, dtype=float)
     if D.ndim != 2:
@@ -100,23 +68,23 @@ def _validated(D, Y) -> tuple[np.ndarray, np.ndarray]:
     return D, Y
 
 
-def feature_sign_solve(D, y, opts: SolverOptions | None = None) -> np.ndarray:
+def feature_sign_solve(D, y, lam: float) -> np.ndarray:
     """Solve one lasso instance; columns of D are the dictionary atoms.
 
     This is batch_encode on a single column."""
     y = np.asarray(y, dtype=float).ravel()
-    D, Y = _validated(D, y[:, None])
-    return _encode(D, Y, opts or SolverOptions())[:, 0]
+    D, Y = _validated(D, y[:, None], lam)
+    return _encode(D, Y, lam)[:, 0]
 
 
-def batch_encode(D, Y, opts: SolverOptions | None = None) -> np.ndarray:
+def batch_encode(D, Y, lam: float) -> np.ndarray:
     """Encode every column of Y independently; column i of the result is
-    feature_sign_solve(D, Y[:, i]), bit for bit."""
-    D, Y = _validated(D, Y)
-    return _encode(D, Y, opts or SolverOptions())
+    feature_sign_solve(D, Y[:, i], lam), bit for bit."""
+    D, Y = _validated(D, Y, lam)
+    return _encode(D, Y, lam)
 
 
-def _encode(D: np.ndarray, Y: np.ndarray, opts: SolverOptions) -> np.ndarray:
+def _encode(D: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     """Solve every column in blocks of _BLOCK; warn once per bad outcome."""
     n = Y.shape[1]
     G = D.T @ D
@@ -124,12 +92,12 @@ def _encode(D: np.ndarray, Y: np.ndarray, opts: SolverOptions) -> np.ndarray:
     outcome = np.empty(n, dtype=int)
     for start in range(0, n, _BLOCK):
         cols = slice(start, min(start + _BLOCK, n))
-        X[:, cols], outcome[cols] = _solve_block(D, G, Y[:, cols], opts,
+        X[:, cols], outcome[cols] = _solve_block(D, G, Y[:, cols], lam,
                                                  start)
     for kind, what in (
             (_STALLED, "stalled (the line search could not decrease the "
                        "objective)"),
-            (_MAX_ITER, f"hit max_iter={opts.max_iter} before optimality")):
+            (_MAX_ITER, f"hit max_iter={_MAX_STEPS} before optimality")):
         hit = np.flatnonzero(outcome == kind)
         if hit.size:
             warnings.warn(f"feature-sign search {what} on {hit.size} of {n} "
@@ -138,9 +106,8 @@ def _encode(D: np.ndarray, Y: np.ndarray, opts: SolverOptions) -> np.ndarray:
     return X
 
 
-def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray,
-                 opts: SolverOptions, first: int
-                 ) -> tuple[np.ndarray, np.ndarray]:
+def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
+                 first: int) -> tuple[np.ndarray, np.ndarray]:
     """Feature-sign search in lockstep on the columns of Y.
 
     Arrays hold one row per column.  Each round takes every unfinished
@@ -149,7 +116,6 @@ def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray,
     objective, leave the round set.  Returns the k x m codes and each
     column's outcome.
     """
-    lam, tol = opts.lam, opts.opt_tol
     Yr = np.ascontiguousarray(Y.T)
     m, k = Yr.shape[0], G.shape[0]
     Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
@@ -158,7 +124,7 @@ def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray,
     cur = 0.5 * yty
     outcome = np.full(m, _MAX_ITER)
     todo = np.arange(m)
-    for _ in range(opts.max_iter):
+    for _ in range(_MAX_STEPS):
         x = X[todo]
         active = x != 0.0
         theta = np.sign(x)
@@ -166,10 +132,10 @@ def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray,
         # once the active set is optimal, activate the worst violator with
         # its sign set against the gradient; ties go to the lowest index
         # (argmax returns the first maximum)
-        settled = np.all(~active | (np.abs(grad + lam * theta) <= tol),
+        settled = np.all(~active | (np.abs(grad + lam * theta) <= _OPT_TOL),
                          axis=1)
         viol = np.where(active, -1.0, np.abs(grad))
-        done = settled & (viol.max(axis=1) <= lam + tol)
+        done = settled & (viol.max(axis=1) <= lam + _OPT_TOL)
         add = np.flatnonzero(settled & ~done)
         mu = np.argmax(viol[add], axis=1)
         active[add, mu] = True
@@ -196,23 +162,26 @@ def _solve_active_sets(G: np.ndarray, active: np.ndarray, b: np.ndarray,
     """Per row r, x[r] solving G[a, a] x[a] = b[r, a] on a = active[r] and
     zero elsewhere: one stack of k x k systems padded with identity rows.
 
-    Rows whose padded factorization fails or whose active pivots fail the
-    test of _solve_spd go through _solve_active and its ridge retry; `cols`
-    names the column of each row in errors.
+    Rows whose factor fails _factor's test are factored once more with
+    _RIDGE_SCALE * trace(G[a, a]) / |a| added on the active diagonal; a row
+    that fails again raises, naming its column from `cols`.
     """
-    k = G.shape[0]
-    rhs = np.where(active, b, 0.0)
-    L, ok = _factor(np.where(active[:, :, None] & active[:, None, :], G,
-                             np.eye(k)), active)
-    x = np.zeros_like(rhs)
-    x[ok] = _cholesky_solve(L if ok.all() else L[ok], rhs[ok])
-    for r in np.flatnonzero(~ok):
-        sigma = np.flatnonzero(active[r])
-        try:
-            x[r, sigma] = _solve_active(G[np.ix_(sigma, sigma)], rhs[r, sigma])
-        except SingularActiveSetError as exc:
-            raise SingularActiveSetError(f"column {cols[r]}: {exc}") from exc
-    return np.where(active, x, 0.0)
+    eye = np.eye(G.shape[0])
+    pair = active[:, :, None] & active[:, None, :]
+    L, ok = _factor(np.where(pair, G, eye), active)
+    if not ok.all():
+        retry, act = np.flatnonzero(~ok), active[~ok]
+        trace = np.where(act, np.diagonal(G), 0.0).sum(axis=1)
+        ridge = _RIDGE_SCALE * trace / act.sum(axis=1)
+        L[retry], ok = _factor(np.where(pair[retry],
+                                        G + ridge[:, None, None] * eye, eye),
+                               act)
+        if not ok.all():
+            r = retry[np.argmin(ok)]
+            raise SingularActiveSetError(
+                f"column {cols[r]}: rank-deficient active set of size "
+                f"{np.count_nonzero(active[r])}")
+    return np.where(active, _cholesky_solve(L, np.where(active, b, 0.0)), 0.0)
 
 
 def _factor(A: np.ndarray, active: np.ndarray

@@ -20,8 +20,8 @@ from segdict.evaluation import (SparseDictFeatures, SplitPlan, VqFeatures,
                                 bench_feature_extraction, stratified_split,
                                 wilcoxon_rank_sum)
 from segdict.ingest import build_beat_matrix, load_dataset
-from segdict.sparse_coder import (SolverOptions, coding_objective,
-                                  feature_sign_solve, kkt_violation)
+from segdict.sparse_coder import (coding_objective, feature_sign_solve,
+                                  kkt_violation)
 from segdict.synthetic import generate_planted_dataset, write_beats_csv
 
 from oracles import (constrained_lsq_pg, kmeans_exhaustive, lasso_brute_force,
@@ -48,7 +48,7 @@ def test_criterion_01_feature_sign_optimality():
         D = rng.normal(size=(d, k))
         D /= np.linalg.norm(D, axis=0)
         y = rng.normal(size=d)
-        x = feature_sign_solve(D, y, SolverOptions(lam=lam))
+        x = feature_sign_solve(D, y, lam)
         obj = coding_objective(D, y.reshape(-1, 1), x.reshape(-1, 1), lam)
         best, _ = lasso_brute_force(D, y, lam)
         ok &= kkt_violation(D, y, x, lam) <= 1e-6
@@ -67,7 +67,7 @@ def test_criterion_02_scalar_lasso_closed_form():
         y_val = float(rng.normal() * 3.0)
         lam = float(rng.uniform(0.01, 2.0))
         x = feature_sign_solve(np.array([[d_val]]), np.array([y_val]),
-                               SolverOptions(lam=lam))[0]
+                               lam)[0]
         dty = d_val * y_val
         expected = np.sign(dty) * max(abs(dty) - lam, 0.0) / (d_val * d_val)
         ok &= abs(x - expected) <= 1e-10

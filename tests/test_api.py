@@ -1,6 +1,8 @@
 """Package surface: ``segdict.__all__`` matches what ``__init__`` imports,
-and the package needs nothing beyond numpy."""
+no public solver callable takes a tolerance or cap, and the package needs
+nothing beyond numpy."""
 
+import inspect
 import os
 import subprocess
 import sys
@@ -35,6 +37,21 @@ def test_all_names_exactly_the_imported_public_attributes():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert set(segdict.__all__) == public
+
+
+def test_no_solver_callable_takes_a_solver_knob():
+    # feature-sign search and SMO run at fixed tolerances and caps; the
+    # k-means baseline's max_iter is the kmeans_max_iter config key
+    knobs = {"opts", "tol", "max_sweeps", "max_iter", "opt_tol"}
+    solvers = {"segdict.sparse_coder", "segdict.dict_learner",
+               "segdict.classifier"}
+    taken = []
+    for name in segdict.__all__:
+        value = getattr(segdict, name)
+        if callable(value) and value.__module__ in solvers:
+            params = set(inspect.signature(value).parameters)
+            taken += [f"{name}({p})" for p in sorted(params & knobs)]
+    assert taken == []
 
 
 def test_fit_encode_and_grid_search_import_no_scipy():

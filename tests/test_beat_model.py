@@ -127,3 +127,8 @@ def test_sparse_code_matrix_accepts_dense_codes():
     assert dense.k == 2 and dense.count == 2
     with pytest.raises(ValueError):
         SparseCodeMatrix(codes, 0.0)
+
+
+def test_sparse_code_matrix_rejects_a_nan_lambda():
+    with pytest.raises(ValueError, match="lam must be positive, got nan"):
+        SparseCodeMatrix(np.zeros((2, 2)), float("nan"))

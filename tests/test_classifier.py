@@ -1,7 +1,6 @@
 """SVM tests: kernel closed forms, SMO KKT certificates, grid search."""
 
 import warnings
-from functools import partial
 from itertools import combinations, product
 
 import numpy as np
@@ -142,8 +141,7 @@ def test_final_bias_treats_alpha_one_ulp_below_c_as_bound():
     y = np.array([-1.0, 1, -1, -1, 1, 1, 1, 1, 1, -1, 1, 1])
     C, tol = 0.3, 1e-3
     seen = []
-    m = smo_train(X, y, C, 0.0625, tol=tol,
-                  on_step=lambda alpha, b: seen.append(alpha))
+    m = smo_train(X, y, C, 0.0625, on_step=lambda alpha, b: seen.append(alpha))
     assert np.any(seen[-1] == np.nextafter(C, 0.0))
     assert m.converged
     assert kkt_violations(m, X, y).max() <= tol
@@ -166,17 +164,17 @@ def test_batch_of_mixed_sizes_equals_single_solves():
     pairs = [("a", "b")] * 40
     for C, gamma in ((0.5, 0.3), (40.0, 0.3), (8.0, 2.0)):
         K = rbf_gram(X, X, gamma)
-        alpha, bias, ok = _smo_batch(K, idx, y, C, gamma, pairs, 1e-3)
+        alpha, bias, ok = _smo_batch(K, idx, y, C, gamma, pairs)
         assert ok.all()
         for p, m in enumerate(sizes):
             a1, b1, ok1 = _smo_batch(K, idx[p:p + 1, :m], y[p:p + 1, :m], C,
-                                     gamma, pairs[:1], 1e-3)
+                                     gamma, pairs[:1])
             assert np.array_equal(alpha[p, :m], a1[0])
             assert np.all(alpha[p, m:] == 0.0)
             assert bias[p] == b1[0] and ok[p] == ok1[0]
 
 
-def test_batch_of_mixed_c_equals_single_solves():
+def test_batch_of_mixed_c_equals_single_solves(monkeypatch):
     # one batch over five C values, with a tolerance and update cap under
     # which problems stop after 2 to 88 updates and some hit the cap: each
     # problem must get its own C's duals, bias and outcome, bit for bit
@@ -193,16 +191,15 @@ def test_batch_of_mixed_c_equals_single_solves():
     C = np.array([0.01, 0.5, 8.0, 200.0, 5000.0])[np.arange(30) % 5]
     pairs = [(f"p{p}", "q") for p in range(30)]
     K = rbf_gram(X, X, 0.5)
+    monkeypatch.setattr(classifier, "_MAX_SWEEPS", 4)
     with pytest.warns(ConvergenceWarning) as caught:
-        alpha, bias, ok = _smo_batch(K, idx, y, C, 0.5, pairs, 1e-3,
-                                     max_sweeps=4)
+        alpha, bias, ok = _smo_batch(K, idx, y, C, 0.5, pairs)
     updates = []
     with warnings.catch_warnings(record=True):
         for p, m in enumerate(sizes):
             count = []
             a1, b1, ok1 = _smo_batch(K, idx[p:p + 1, :m], y[p:p + 1, :m],
-                                     C[p], 0.5, pairs[p:p + 1], 1e-3,
-                                     max_sweeps=4,
+                                     C[p], 0.5, pairs[p:p + 1],
                                      on_step=lambda a, b: count.append(1))
             updates.append(len(count))
             assert np.array_equal(alpha[p, :m], a1[0])
@@ -227,7 +224,7 @@ def test_batch_rejects_a_non_positive_c_of_any_problem():
                      ([float("nan"), 1.0, 2.0], "nan"), (-1.0, "-1")):
         with pytest.raises(ValueError, match=f"c_penalty must be positive, "
                                              f"got {shown}$"):
-            _smo_batch(K, idx, y, C, 1.0, pairs, 1e-3)
+            _smo_batch(K, idx, y, C, 1.0, pairs)
 
 
 def _blobs(classes, per_class, seed):
@@ -245,7 +242,7 @@ def test_grid_cells_equal_per_fold_training_and_prediction(classes, per_class):
     c_values, g_values = [0.125, 2.0, 32.0], [0.0625, 0.5, 4.0]
     fold_of = _stratified_folds(arr, 3, np.random.default_rng(4))
     cells = _cv_correct(X, arr, sorted(set(labels)), fold_of, c_values,
-                        g_values, 1e-3)
+                        g_values)
     expected = np.zeros(cells.shape, dtype=int)
     for (ci, C), (gi, g) in product(enumerate(c_values), enumerate(g_values)):
         for f in range(3):
@@ -260,35 +257,36 @@ def test_grid_cells_equal_per_fold_training_and_prediction(classes, per_class):
         c_values[best[0]], g_values[best[1]])
 
 
-def test_update_cap_warns_once_per_call_naming_the_first_machine():
+def test_update_cap_warns_once_per_call_naming_the_first_machine(
+        monkeypatch):
     X, labels = _blobs("abcd", 8, seed=3)
     arr = np.array(labels)
     pairs, idx, y = _pair_problems(arr, list("abcd"), [np.arange(arr.size)])
     K = rbf_gram(X, X, 4.0)
+    monkeypatch.setattr(classifier, "_MAX_SWEEPS", 0)
     with pytest.warns(ConvergenceWarning) as caught:
-        _, _, ok = _smo_batch(K, idx, y, 512.0, 4.0, pairs, 1e-3,
-                              max_sweeps=0)
+        _, _, ok = _smo_batch(K, idx, y, 512.0, 4.0, pairs)
     assert len(caught) == 1 and not ok.any()
     assert str(caught[0].message) == (
         "SMO hit max_sweeps before satisfying the KKT conditions on 6 of 6 "
         "machines (first: pair ('a', 'b'), C=512, gamma=4)")
+    monkeypatch.setattr(classifier, "_MAX_SWEEPS", 2)
     with pytest.warns(ConvergenceWarning) as caught:
-        _, _, ok = _smo_batch(rbf_gram(X, X, 1.0), idx, y, 512.0, 1.0, pairs,
-                              1e-3, max_sweeps=2)
+        _, _, ok = _smo_batch(rbf_gram(X, X, 1.0), idx, y, 512.0, 1.0, pairs)
     assert len(caught) == 1 and np.sum(~ok) == 3
     assert str(caught[0].message).endswith(
         f"on 3 of 6 machines (first: pair {pairs[np.argmin(ok)]}, C=512, "
         "gamma=1)")
+    monkeypatch.setattr(classifier, "_MAX_SWEEPS", 0)
     with pytest.warns(ConvergenceWarning) as caught:
-        machine = smo_train(X[:, idx[0]], y[0], 512.0, 4.0, max_sweeps=0,
+        machine = smo_train(X[:, idx[0]], y[0], 512.0, 4.0,
                             class_pair=("a", "b"))
     assert len(caught) == 1 and not machine.converged
 
 
 def test_grid_search_warns_at_most_once_per_gamma(monkeypatch):
     X, labels = _blobs("abc", 6, seed=2)
-    monkeypatch.setattr(classifier, "_smo_batch",
-                        partial(classifier._smo_batch, max_sweeps=0))
+    monkeypatch.setattr(classifier, "_MAX_SWEEPS", 0)
     c_values, g_values = [0.5, 4.0], [0.25, 1.0, 4.0]
     with pytest.warns(ConvergenceWarning) as caught:
         grid_search_cv(X, labels, c_values, g_values, folds=3)

@@ -215,6 +215,14 @@ def test_config_rejects_out_of_range(tmp_path):
         load_config(cfg)
 
 
+def test_config_rejects_a_nan_lambda_or_newton_tol(tmp_path):
+    cfg = tmp_path / "bad.cfg"
+    for line in ("lambda = nan", "newton_tol = nan"):
+        cfg.write_text(line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=line.replace(" = ", "=")):
+            load_config(cfg)
+
+
 def test_config_rejects_non_positive_grid_values(tmp_path):
     cfg = tmp_path / "bad.cfg"
     for line, bad in (("c_grid = -1", "c_grid values must be positive, got -1"),

@@ -153,6 +153,13 @@ def test_dual_update_requires_a_used_atom():
         lagrange_dual_update(np.zeros((2, 3)), np.ones((2, 3)), TIGHT)
 
 
+def test_train_config_rejects_a_nan_lambda_or_newton_tol():
+    with pytest.raises(ValueError, match="lam must be positive, got nan"):
+        TrainConfig(lam=float("nan"))
+    with pytest.raises(ValueError, match="newton_tol=nan"):
+        TrainConfig(newton_tol=float("nan"))
+
+
 def test_dual_state_rejects_negative():
     with pytest.raises(ValueError):
         DualState(np.array([0.5, -0.1]))
@@ -285,7 +292,7 @@ def test_alternation_objective_non_increasing():
 
 def test_trained_used_atoms_have_unit_norm():
     from segdict.beat_model import segment_view
-    from segdict.sparse_coder import SolverOptions, batch_encode
+    from segdict.sparse_coder import batch_encode
 
     rng = np.random.default_rng(21)
     beats, spec = planted_beats(rng, noise=0.1)
@@ -294,7 +301,7 @@ def test_trained_used_atoms_have_unit_norm():
     dicts = train_segment_dictionaries(beats, spec, cfg, np.arange(beats.count))
     for j, dictionary in enumerate(dicts, start=1):
         codes = batch_encode(dictionary.atoms, segment_view(beats, spec, j),
-                             SolverOptions(lam=cfg.lam))
+                             cfg.lam)
         used = np.any(codes != 0.0, axis=1)
         norms = np.linalg.norm(dictionary.atoms, axis=0)
         assert np.all(np.abs(norms[used] - 1.0) <= 1e-6)
@@ -384,6 +391,14 @@ def test_lambda_at_lambda_max_names_both():
     assert message.startswith("segment 1:")
     assert "lambda=0.6:" in message
     assert f"lambda_max={lam_max:.6g}," in message
+
+
+def test_encode_beats_rejects_a_nan_lambda():
+    from segdict.beat_model import SegmentDictionary
+    atoms, _ = np.linalg.qr(np.random.default_rng(17).normal(size=(6, 3)))
+    beats = BeatMatrix(atoms.copy(), tuple("NNN"))
+    with pytest.raises(ValueError, match="lam must be positive, got nan"):
+        encode_beats(beats, [SegmentDictionary(atoms, 1)], float("nan"))
 
 
 def test_dominant_entry_for_beat_equal_to_stacked_atom():

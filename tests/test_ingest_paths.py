@@ -137,18 +137,19 @@ def test_odd_row_of_a_two_channel_file_fails_naming_its_row(tmp_path,
     assert fast.startswith("ParseError: row 3: 17 samples do not split")
 
 
-@pytest.mark.parametrize("row,value", [(GOOD.replace("3.25", "1_0"), 10.0),
-                                       (GOOD.replace("3.25", "٣"), 3.0)])
+@pytest.mark.parametrize("row,token", [(GOOD.replace("3.25", t), t)
+                                       for t in ("1_0", "٣", "１")])
 def test_tokens_only_float_reads_take_the_per_line_path(tmp_path,
                                                         monkeypatch, row,
-                                                        value):
-    # float() reads underscores and non-ASCII digits, np.loadtxt does not
+                                                        token):
+    # float() reads underscores and non-ASCII digits (1_0 as 10, ٣ as 3);
+    # np.loadtxt does not, and the per-line path rejects them naming both
     path = tmp_path / "d.csv"
     path.write_text(f"{GOOD}\n{row}\n", encoding="utf-8")
     fast, parsed, slow = both_paths(monkeypatch, path)
     assert not parsed
-    assert_same_records(fast, slow)
-    assert fast[1].samples[3] == value
+    assert fast == slow == (f"ParseError: row 2: sample {token!r} holds '_' "
+                            "or a non-ASCII character")
 
 
 def test_ragged_rows_load_as_records_of_their_own_lengths(tmp_path,
