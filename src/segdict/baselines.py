@@ -9,6 +9,8 @@ import numpy as np
 from .beat_model import BeatMatrix, SegmentSpec, segment_view
 from .errors import InsufficientDataError, ShapeMismatchError
 
+_DIFF_BLOCK = 1 << 16     # values in one block of point-center differences
+
 
 @dataclass(frozen=True)
 class VqCodebook:
@@ -59,9 +61,22 @@ class VqCodeMatrix:
 
 def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # points n x d, centers k x d -> n x k squared distances, computed
-    # directly (no expansion trick) so distortion bookkeeping stays exact
-    diff = points[:, None, :] - centers[None, :, :]
-    return np.einsum("nkd,nkd->nk", diff, diff)
+    # directly (no expansion trick) so distortion bookkeeping stays exact,
+    # about _DIFF_BLOCK differences at a time (81 rows at k=16, d=50).
+    # numpy sums each distance in the order it would for the whole array
+    # only while a block has two rows or more, so a last row left alone
+    # joins the block before it
+    n = points.shape[0]
+    k, d = centers.shape
+    rows = max(2, _DIFF_BLOCK // max(1, k * d))
+    out = np.empty((n, k))
+    lo = 0
+    while lo < n:
+        hi = lo + rows if n - lo > rows + 1 else n
+        diff = points[lo:hi, None, :] - centers[None, :, :]
+        np.einsum("nkd,nkd->nk", diff, diff, out=out[lo:hi])
+        lo = hi
+    return out
 
 
 def _seed_random(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:

@@ -38,9 +38,14 @@ def rbf_gram(A, B, gamma: float) -> np.ndarray:
     B = np.atleast_2d(np.asarray(B, dtype=float))
     na = np.einsum("ij,ij->j", A, A)
     nb = np.einsum("ij,ij->j", B, B)
-    d2 = na[:, None] + nb[None, :] - 2.0 * (A.T @ B)
+    # (na + nb) - 2 A'B, with one temporary beside A'B
+    AB = A.T @ B
+    AB *= 2.0
+    d2 = na[:, None] + nb[None, :]
+    d2 -= AB
     np.maximum(d2, 0.0, out=d2)
-    return np.exp(-gamma * d2)
+    d2 *= -gamma
+    return np.exp(d2, out=d2)
 
 
 @dataclass(frozen=True)
@@ -65,8 +70,10 @@ class TrainedSvm:
                            np.asarray(self.sv_indices, dtype=int).ravel())
         if sv.shape[1] != al.size or al.size != self.sv_indices.size:
             raise LengthMismatchError("support vectors, alphas, indices disagree")
-        if self.gamma <= 0 or self.c_penalty <= 0:
-            raise ValueError("gamma and c_penalty must be positive")
+        for name, value in (("gamma", self.gamma),
+                            ("c_penalty", self.c_penalty)):
+            if not value > 0:
+                raise ValueError(f"{name} must be positive, got {value:g}")
         if np.any(np.abs(al) > self.c_penalty * (1 + 1e-9)):
             raise ValueError("dual coefficients exceed the box constraint")
         if abs(al.sum()) > 1e-6 * np.abs(al).sum() + 1e-9:

@@ -8,7 +8,9 @@ channel 1 samples then channel 2 samples, equal length each.
 
 from __future__ import annotations
 
+import itertools
 import warnings
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,6 +21,7 @@ from .errors import (DegenerateBeatError, EmptyDatasetError, FlatBeatWarning,
 
 MIN_SAMPLES_PER_CHANNEL = 8
 _CHUNK = 256        # beats centred and normalized at once; bounds the temporaries
+_READ = 1 << 16     # characters of the CSV read at once
 
 
 @dataclass(frozen=True)
@@ -58,53 +61,84 @@ class RawBeatRecord:
 def load_dataset(path) -> list[RawBeatRecord]:
     """Parse a beat CSV file into raw records, labels preserved verbatim.
 
-    All data rows go through numpy's C parser in one call; a file that the
-    call rejects, or that holds a row RawBeatRecord would reject, is parsed
-    again one line at a time, so that the error names its row.
+    The file is read _READ characters at a time and its data rows go to
+    numpy's C parser as they are read; a file that the parse rejects, or
+    that holds a row RawBeatRecord would reject, is read again whole and
+    parsed one line at a time, so that the error names its row.
     """
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        lines = fh.read().splitlines()
-
-    channels = 1
-    start = 0
-    if lines and lines[0].startswith("#channels="):
-        try:
-            channels = int(lines[0].split("=", 1)[1])
-        except ValueError as exc:
-            raise ParseError(f"row 1: bad channels directive {lines[0]!r}") from exc
-        start = 1
-    # optional header right after the directive
-    if start < len(lines) and lines[start].split(",", 1)[0].strip() == "label":
-        start += 1
-
-    rows = [line for line in map(str.strip, lines[start:]) if line]
-    records = _parse_rows(rows, channels)
-    if records is None:
-        records = _parse_lines(lines, start, channels)
+        lines = _lines(fh)
+        # the first two lines, without their line breaks
+        head = [line.splitlines()[0] for line in itertools.islice(lines, 2)]
+        channels = 1
+        start = 0
+        if head and head[0].startswith("#channels="):
+            try:
+                channels = int(head[0].split("=", 1)[1])
+            except ValueError as exc:
+                raise ParseError(
+                    f"row 1: bad channels directive {head[0]!r}") from exc
+            start = 1
+        # optional header right after the directive
+        if start < len(head) and head[start].split(",", 1)[0].strip() == "label":
+            start += 1
+        records = _parse_rows(itertools.chain(head[start:], lines), channels)
+        if records is None:
+            fh.seek(0)
+            records = _parse_lines(fh.read().splitlines(), start, channels)
     if not records:
         raise EmptyDatasetError(f"no data rows in {path}")
     return records
 
 
-def _parse_rows(rows: list[str], channels: int) -> list[RawBeatRecord] | None:
-    """Records of the nonblank, stripped data rows, parsed as one matrix;
-    None when the parse or a record's checks fail, so that the rows must go
-    through _parse_lines.
+def _lines(fh) -> Iterator[str]:
+    """The lines of fh, line breaks kept, split where str.splitlines splits
+    the whole text: at form feeds, U+0085 and U+2028 too, where file
+    iteration does not.  The last line of a block waits for the next."""
+    carry, size = "", _READ
+    while chunk := fh.read(size):
+        *whole, carry = (carry + chunk).splitlines(keepends=True)
+        yield from whole
+        # a line longer than a block is read in doubling blocks, so it is
+        # copied a bounded number of times
+        size = _READ if whole else 2 * size
+    if carry:
+        yield carry
+
+
+def _parse_rows(lines: Iterable[str], channels: int
+                ) -> list[RawBeatRecord] | None:
+    """Records of the nonblank data lines, stripped and parsed as one
+    matrix while they are read; None when the parse or a record's checks
+    fail, so that the lines must go through _parse_lines.
 
     np.loadtxt accepts a subset of what float() accepts (not "1_0", for
     one) and reads the same value from it, correctly rounded; with usecols
-    it ignores extra fields, so the rows' field counts are compared first.
+    it ignores extra fields, so each row's field count is compared with the
+    first row's as it goes by.
     """
-    if not rows:
+    rows = filter(None, map(str.strip, lines))
+    first = next(rows, None)
+    if first is None:
         return []
-    width = rows[0].count(",")
-    if width == 0 or any(row.count(",") != width for row in rows):
+    width = first.count(",")
+    if width == 0:
         return None
+    labels = []
+
+    def checked():
+        for row in itertools.chain([first], rows):
+            if row.count(",") != width:
+                raise ValueError("rows differ in field count")
+            labels.append(row[:row.index(",")].strip())
+            yield row
+
     try:
-        data = np.loadtxt(rows, delimiter=",", usecols=range(1, width + 1),
-                          comments=None, ndmin=2)
-        return [RawBeatRecord(row.split(",", 1)[0].strip(), samples, channels)
-                for row, samples in zip(rows, data)]
+        data = np.loadtxt(checked(), delimiter=",",
+                          usecols=range(1, width + 1), comments=None,
+                          ndmin=2)
+        return [RawBeatRecord(label, samples, channels)
+                for label, samples in zip(labels, data)]
     except ValueError:
         return None
 

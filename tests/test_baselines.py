@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from segdict.baselines import (VqCodebook, VqCodeMatrix, assign_codes,
-                               fft_features, kmeans_train, one_hot_codes,
-                               vq_encode)
+from segdict import baselines
+from segdict.baselines import (VqCodebook, VqCodeMatrix, _sq_dists,
+                               assign_codes, fft_features, kmeans_train,
+                               one_hot_codes, vq_encode)
 from segdict.beat_model import BeatMatrix, SegmentSpec
 from segdict.errors import InsufficientDataError
 
@@ -83,6 +84,28 @@ def test_assign_codes_matches_linear_scan():
     got = assign_codes(cb, segments)
     want = nearest_center_scan(centers.T, segments.T)
     assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("k", [8, 256])
+@pytest.mark.parametrize("extra", [3, 1])
+@pytest.mark.parametrize("layout", ["rows", "columns"])
+def test_blocked_sq_dists_equal_the_unblocked_formula(k, extra, layout):
+    # two whole blocks and a part; a part of one row joins the block before
+    # it. "columns" is the layout assign_codes and kmeans_train pass, the
+    # transpose of a d x n slice of a beat matrix, on which numpy sums
+    # each distance in another order than on C-ordered rows
+    d = 50
+    block = max(2, baselines._DIFF_BLOCK // (k * d))
+    n = 2 * block + extra
+    rng = np.random.default_rng(k + extra)
+    if layout == "rows":
+        points = rng.normal(size=(n, d))
+    else:
+        points = rng.normal(size=(3 * d, n))[d:2 * d].T
+    centers = rng.normal(size=(d, k)).T.copy()
+    diff = points[:, None, :] - centers[None, :, :]     # all n rows at once
+    want = np.einsum("nkd,nkd->nk", diff, diff)
+    assert _sq_dists(points, centers).tobytes() == want.tobytes()
 
 
 def test_vq_encode_centers_round_trip():

@@ -59,6 +59,26 @@ def test_rbf_gram_rejects_non_positive_gamma():
             rbf_gram(A, A, gamma)
 
 
+@pytest.mark.parametrize("shape,gamma", [((3, 1, 1), 0.7), ((4, 9, 5), 2.0),
+                                         ((50, 100, 390), 2.0 ** -10),
+                                         ((1, 7, 7), 8.0)])
+def test_rbf_gram_equals_the_plain_formula_bit_for_bit(shape, gamma):
+    d, m, n = shape
+    rng = np.random.default_rng(m + n)
+    A, B = rng.normal(size=(d, m)), rng.normal(size=(d, n))
+    na, nb = np.einsum("ij,ij->j", A, A), np.einsum("ij,ij->j", B, B)
+    d2 = np.maximum(na[:, None] + nb[None, :] - 2.0 * (A.T @ B), 0.0)
+    assert rbf_gram(A, B, gamma).tobytes() == np.exp(-gamma * d2).tobytes()
+
+
+@pytest.mark.parametrize("field", ["gamma", "c_penalty"])
+def test_trained_svm_rejects_a_nan_gamma_or_c(field):
+    args = {"gamma": 0.5, "c_penalty": 1.0, field: float("nan")}
+    with pytest.raises(ValueError, match=f"^{field} must be positive, got nan$"):
+        TrainedSvm(np.eye(2), [0.5, -0.5], 0.0, args["gamma"],
+                   args["c_penalty"], ("a", "b"), [0, 1])
+
+
 def test_two_point_symmetric_machine():
     X = np.array([[0.0, 2.0]])
     y = np.array([1.0, -1.0])

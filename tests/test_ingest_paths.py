@@ -1,7 +1,9 @@
-"""The two ingest paths agree: load_dataset's one-call matrix parse against
-its per-line parse, and build_beat_matrix's shared-grid, chunked build
-against resample_beat and normalize_beat one record at a time."""
+"""The two ingest paths agree: load_dataset's streamed matrix parse against
+its per-line parse of the whole text, and build_beat_matrix's shared-grid,
+chunked build against resample_beat and normalize_beat one record at a
+time."""
 
+import io
 import warnings
 
 import numpy as np
@@ -97,6 +99,57 @@ def test_matrix_parse_equals_per_line_parse(tmp_path, monkeypatch, seed,
         assert beats.labels == tuple(r.label for r in slow)
         assert (beats.samples.tobytes()
                 == per_record(slow, target_len).tobytes())
+
+
+TEXTS = ["", "a", "a\n", "\n\n", "ab\r\ncd\r\n", "a\rb\r\r\nc",
+         "x\x0cy\x85z\u2028w\u2029v\x0bu\x1cq\x1dr\x1es\n",
+         "  \t \n\n   \r\nlast", "long" * 40 + "\r\n" + "tail" * 30]
+
+
+@pytest.mark.parametrize("read", [1, 2, 3, 5, 64, 1 << 16])
+def test_lines_split_where_splitlines_splits(monkeypatch, read):
+    # blocks of `read` characters, so that a line, or the \r\n ending it,
+    # can straddle two blocks
+    monkeypatch.setattr(ingest, "_READ", read)
+    for text in TEXTS:
+        got = list(ingest._lines(io.StringIO(text, newline="")))
+        assert got == text.splitlines(keepends=True)
+
+
+# a row of tiny values printed with few decimals can resample flat
+@pytest.mark.filterwarnings("ignore::segdict.errors.FlatBeatWarning")
+@pytest.mark.parametrize("final", [True, False], ids=["newline", "no-newline"])
+@pytest.mark.parametrize("channels", [1, 2])
+@pytest.mark.parametrize("newline", ["\x0c", "\x85", "\u2028"])
+def test_rows_split_where_splitlines_splits(tmp_path, monkeypatch, newline,
+                                            channels, final):
+    # file iteration splits only at \n and \r; these are rows all the same.
+    # random_csv puts whitespace-only lines among the rows
+    rng = np.random.default_rng([ord(newline), channels, final])
+    text = random_csv(rng, channels, newline, rows=100)
+    if not final:
+        text = text[:-len(newline)]
+    path = tmp_path / "d.csv"
+    path.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(ingest, "_READ", 97)
+    fast, parsed, slow = both_paths(monkeypatch, path)
+    assert parsed
+    assert_same_records(fast, slow)
+    header_lines = 2 if channels == 2 else 1
+    assert len(fast) == sum(1 for line in text.splitlines()[header_lines:]
+                            if line.strip())
+
+
+@pytest.mark.parametrize("newline", ["\x0c", "\x85", "\u2028"])
+def test_bad_row_is_named_by_its_splitlines_row(tmp_path, monkeypatch,
+                                                newline):
+    path = tmp_path / "d.csv"
+    path.write_text(f"label,a,b,c,d,e,f,g,h\n{GOOD}{newline}{GOOD}\n"
+                    f"{GOOD.replace('3.25', 'x')}\n", encoding="utf-8")
+    fast, parsed, slow = both_paths(monkeypatch, path)
+    assert not parsed
+    assert fast == slow
+    assert fast.startswith("ParseError: row 4: ")
 
 
 BAD_ROWS = [

@@ -5,7 +5,8 @@ import pytest
 
 from segdict import serialize
 from segdict.beat_model import SegmentDictionary, SparseCodeMatrix
-from segdict.classifier import smo_train, train_multiclass, predict_batch
+from segdict.classifier import (MultiClassSvm, predict_batch, smo_train,
+                                train_multiclass)
 from segdict.errors import ParseError
 
 
@@ -80,6 +81,24 @@ def test_svm_round_trip_preserves_predictions(tmp_path):
     assert loaded.classes == model.classes
     probe = rng.normal(size=(3, 25))
     assert predict_batch(loaded, probe) == predict_batch(model, probe)
+
+
+@pytest.mark.parametrize("column,field", [(4, "gamma"), (5, "c_penalty")])
+def test_load_svm_rejects_a_nan_gamma_or_c(tmp_path, column, field):
+    rng = np.random.default_rng(3)
+    X = np.hstack([rng.normal(size=(2, 6)) - 1.5, rng.normal(size=(2, 6)) + 1.5])
+    y = np.array([1.0] * 6 + [-1.0] * 6)
+    path = tmp_path / "svm.txt"
+    serialize.save_svm(path, MultiClassSvm(
+        (smo_train(X, y, 3.0, 0.7, class_pair=("p", "q")),), ("p", "q")))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    fields = lines[1].split()
+    assert fields[0] == "machine"
+    fields[column] = "nan"
+    lines[1] = " ".join(fields)
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{field} must be positive, got nan$"):
+        serialize.load_svm(path)
 
 
 def test_binary_machine_survives_round_trip(tmp_path):
