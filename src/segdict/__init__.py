@@ -12,19 +12,15 @@ from .beat_model import (BeatMatrix, SegmentDictionary, SegmentSpec,
 from .baselines import (VqCodebook, VqCodeMatrix, assign_codes, fft_features,
                         kmeans_train, one_hot_codes, vq_encode)
 from .classifier import (MultiClassSvm, TrainedSvm, grid_search_cv,
-                         kkt_violations, predict_batch, rbf_gram, smo_train,
-                         train_multiclass)
-from .dict_learner import (DualState, TrainConfig, dual_objective,
-                           encode_beats, lagrange_dual_update,
-                           train_segment_dictionaries)
+                         predict_batch, rbf_gram, smo_train, train_multiclass)
+from .dict_learner import (DualState, TrainConfig, encode_beats,
+                           lagrange_dual_update, train_segment_dictionaries)
 from .evaluation import (EvalReport, FftFeatures, SparseDictFeatures,
-                         SplitPlan, TimingRow, VqFeatures,
-                         bench_feature_extraction, evaluate, run_single,
+                         SplitPlan, VqFeatures, evaluate, run_single,
                          stratified_split, wilcoxon_rank_sum)
 from .ingest import (RawBeatRecord, build_beat_matrix, load_dataset,
                      normalize_beat, resample_beat)
-from .sparse_coder import (batch_encode, coding_objective, feature_sign_solve,
-                           kkt_violation)
+from .sparse_coder import batch_encode, coding_objective, feature_sign_solve
 from .synthetic import generate_planted_dataset, write_beats_csv
 
 __version__ = "0.1.0"
@@ -34,16 +30,15 @@ __all__ = [
     "segment_view", "stack_dictionaries",
     "VqCodebook", "VqCodeMatrix", "assign_codes", "fft_features",
     "kmeans_train", "one_hot_codes", "vq_encode",
-    "MultiClassSvm", "TrainedSvm", "grid_search_cv", "kkt_violations",
-    "predict_batch", "rbf_gram", "smo_train", "train_multiclass",
-    "DualState", "TrainConfig", "dual_objective", "encode_beats",
-    "lagrange_dual_update", "train_segment_dictionaries",
+    "MultiClassSvm", "TrainedSvm", "grid_search_cv", "predict_batch",
+    "rbf_gram", "smo_train", "train_multiclass",
+    "DualState", "TrainConfig", "encode_beats", "lagrange_dual_update",
+    "train_segment_dictionaries",
     "EvalReport", "FftFeatures", "SparseDictFeatures", "SplitPlan",
-    "TimingRow", "VqFeatures", "bench_feature_extraction", "evaluate",
-    "run_single", "stratified_split", "wilcoxon_rank_sum",
+    "VqFeatures", "evaluate", "run_single", "stratified_split",
+    "wilcoxon_rank_sum",
     "RawBeatRecord", "build_beat_matrix", "load_dataset", "normalize_beat",
     "resample_beat",
     "batch_encode", "coding_objective", "feature_sign_solve",
-    "kkt_violation",
     "generate_planted_dataset", "write_beats_csv",
 ]

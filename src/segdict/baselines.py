@@ -106,7 +106,8 @@ def kmeans_train(segments, k: int, seeding: str = "kmeanspp", seed: int = 0,
     """Lloyd iterations until assignments stabilize or max_iter.
 
     Empty clusters are re-seeded from the point farthest from its current
-    center, which keeps the distortion non-increasing.
+    center, which keeps the distortion non-increasing.  Fewer than k
+    distinct points leave equal centers and raise InsufficientDataError.
     """
     Y = np.asarray(segments, dtype=float)
     if Y.ndim != 2:
@@ -142,7 +143,15 @@ def kmeans_train(segments, k: int, seeding: str = "kmeanspp", seed: int = 0,
                 centers[c] = points[far]
                 own[far] = 0.0  # keep a second empty cluster from grabbing it
 
-    return VqCodebook(centers.T, segment_index, tuple(distortions))
+    try:
+        return VqCodebook(centers.T, segment_index, tuple(distortions))
+    except ValueError as exc:
+        distinct = np.unique(points, axis=0).shape[0]
+        if distinct < k:
+            raise InsufficientDataError(
+                f"segment {segment_index}: fewer than {k} distinct points "
+                f"for k={k}, got {distinct}") from exc
+        raise
 
 
 def assign_codes(codebook: VqCodebook, segments) -> np.ndarray:

@@ -228,24 +228,6 @@ def smo_train(features, labels, c_penalty: float, gamma: float,
                   [class_pair], on_step)[0]
 
 
-def kkt_violations(machine: TrainedSvm, features, labels) -> np.ndarray:
-    """Per-sample KKT violation of a machine on its full training set."""
-    X = np.atleast_2d(np.asarray(features, dtype=float))
-    y = np.asarray(labels, dtype=float).ravel()
-    m = X.shape[1]
-    alpha = np.zeros(m)
-    alpha[machine.sv_indices] = machine.alphas * y[machine.sv_indices]
-    yf = y * decision_values(machine, X)
-    out = np.empty(m)
-    at_c = alpha >= machine.c_penalty * (1 - 1e-9)
-    at_zero = alpha <= 1e-12
-    out[at_zero] = np.maximum(0.0, 1.0 - yf[at_zero])
-    out[at_c] = np.maximum(0.0, yf[at_c] - 1.0)
-    interior = ~(at_zero | at_c)
-    out[interior] = np.abs(yf[interior] - 1.0)
-    return out
-
-
 @dataclass(frozen=True)
 class MultiClassSvm:
     """One-vs-one ensemble: one binary machine per unordered class pair."""
@@ -261,6 +243,10 @@ class MultiClassSvm:
             raise ValueError(
                 f"{len(self.machines)} machines for {n} classes, "
                 f"expected {n * (n - 1) // 2}")
+        if ({frozenset(m.class_pair) for m in self.machines}
+                != {frozenset(p) for p in combinations(self.classes, 2)}):
+            raise ValueError(f"the machines' class pairs are not the pairs "
+                             f"of classes {' '.join(self.classes)}")
 
 
 def _labelled(features, labels):

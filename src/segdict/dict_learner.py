@@ -40,8 +40,8 @@ from numpy.linalg import LinAlgError
 from .beat_model import (ATOM_NORM_SLACK, BeatMatrix, SegmentDictionary,
                          SegmentSpec, SparseCodeMatrix, segment_view,
                          stack_dictionaries)
-from .errors import (ConvergenceWarning, IndefiniteSystemError,
-                     InsufficientDataError, SegdictError, ShapeMismatchError)
+from .errors import (ConvergenceWarning, InsufficientDataError, SegdictError,
+                     ShapeMismatchError)
 from .sparse_coder import batch_encode, coding_objective
 
 _EARLY_STOP_REL = 1e-6
@@ -125,20 +125,6 @@ def _inverse_factor(A: np.ndarray) -> np.ndarray:
     A^{-1} = L^{-T} L^{-1}; raises LinAlgError when A is not positive
     definite."""
     return np.linalg.inv(np.linalg.cholesky(A))
-
-
-def dual_objective(lam, X, Y) -> float:
-    """R(lam), evaluated through a Cholesky factorization of X X^T + Lam;
-    raises IndefiniteSystemError when that system is not positive definite."""
-    lam = np.asarray(lam, dtype=float).ravel()
-    X = np.asarray(X, dtype=float)
-    Y = np.asarray(Y, dtype=float)
-    try:
-        Linv = _inverse_factor(X @ X.T + np.diag(lam))
-    except LinAlgError as exc:
-        raise IndefiniteSystemError("X X^T + Lam is not positive definite") from exc
-    W = Linv @ (X @ Y.T)
-    return float(np.sum(Y * Y)) - float(np.sum(W * W)) - float(lam.sum())
 
 
 def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int

@@ -37,10 +37,6 @@ class SingularActiveSetError(SegdictError, RuntimeError):
     """Active-set gram matrix is numerically singular."""
 
 
-class IndefiniteSystemError(SegdictError, RuntimeError):
-    """A matrix expected to be positive definite failed to factor."""
-
-
 class InsufficientDataError(SegdictError, ValueError):
     """Not enough (distinct) samples for the requested operation."""
 

@@ -1,4 +1,4 @@
-"""Experiment protocol: splits, accuracy reports, rank-sum test, timing.
+"""Experiment protocol: splits, accuracy reports, rank-sum test, seeded runs.
 
 The rank-sum observations compared across feature methods are per-run test
 accuracies over repeated seeded splits; each experiment is repeated with
@@ -20,7 +20,7 @@ from .dict_learner import TrainConfig, encode_beats, train_segment_dictionaries
 from .errors import (EmptySampleError, InsufficientDataError,
                      LengthMismatchError)
 
-EXACT_RANKSUM_LIMIT = 16
+_EXACT_LIMIT = 16     # largest tie-free pooled size given an exact p
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,7 @@ def _rank_sum_counts(n1: int, total: int) -> np.ndarray:
     return dp[n1]
 
 
-def wilcoxon_rank_sum(xs, ys, method: str = "auto") -> tuple[float, float]:
+def wilcoxon_rank_sum(xs, ys) -> tuple[float, float]:
     """Two-sided rank-sum test; returns (U statistic for xs, p-value).
 
     For combined sizes up to 16 with no ties the p-value is exact by
@@ -133,8 +133,6 @@ def wilcoxon_rank_sum(xs, ys, method: str = "auto") -> tuple[float, float]:
     ys = np.asarray(list(ys), dtype=float)
     if xs.size == 0 or ys.size == 0:
         raise EmptySampleError("both samples must be nonempty")
-    if method not in ("auto", "exact", "normal"):
-        raise ValueError(f"unknown method {method!r}")
     n1, n2 = xs.size, ys.size
     total = n1 + n2
     pooled = np.concatenate([xs, ys])
@@ -142,13 +140,7 @@ def wilcoxon_rank_sum(xs, ys, method: str = "auto") -> tuple[float, float]:
     w1 = float(ranks[:n1].sum())
     u1 = w1 - n1 * (n1 + 1) / 2.0
 
-    has_ties = np.unique(pooled).size < total
-    if method == "exact" and has_ties:
-        raise ValueError("exact enumeration requires tie-free data")
-    use_exact = method == "exact" or (
-        method == "auto" and not has_ties and total <= EXACT_RANKSUM_LIMIT)
-
-    if use_exact:
+    if total <= _EXACT_LIMIT and np.unique(pooled).size == total:
         counts = _rank_sum_counts(n1, total)
         min_w = n1 * (n1 + 1) // 2
         w = int(round(w1))
@@ -267,39 +259,3 @@ def run_single(beats: BeatMatrix, method, counts: dict[str, int], seed: int,
     report.timing = {"construction_s": t1 - t0, "encoding_s": t2 - t1}
     return report, (c_penalty, gamma), (train_idx, test_idx)
 
-
-@dataclass(frozen=True)
-class TimingRow:
-    method: str
-    construction_s: float
-    encoding_s: float
-
-    @property
-    def total_s(self) -> float:
-        return self.construction_s + self.encoding_s
-
-
-def bench_feature_extraction(methods, beats: BeatMatrix, train_idx,
-                             reps: int = 3) -> list[TimingRow]:
-    """Median-of-reps wall-clock time to build and apply each feature method.
-
-    Construction fits on the training beats; encoding transforms the whole
-    dataset.  Runs are sequential so no two measurements overlap.
-    """
-    if reps < 1:
-        raise ValueError("reps must be >= 1")
-    train_beats = beats.take(np.asarray(train_idx, dtype=int))
-    rows = []
-    for method in methods:
-        cons, enc = [], []
-        for _ in range(reps):
-            t0 = time.perf_counter()
-            method.fit(train_beats)
-            t1 = time.perf_counter()
-            method.transform(beats)
-            t2 = time.perf_counter()
-            cons.append(t1 - t0)
-            enc.append(t2 - t1)
-        rows.append(TimingRow(method.name, float(np.median(cons)),
-                              float(np.median(enc))))
-    return rows

@@ -28,11 +28,15 @@ def write_matrix(fh, name: str, arr: np.ndarray) -> None:
 
 
 def _read_block(lines: list[str], pos: int) -> tuple[str, np.ndarray, int]:
+    if pos >= len(lines):
+        raise ParseError(f"row {pos + 1}: file ends before a matrix header")
     header = lines[pos].split()
     if len(header) != 3:
         raise ParseError(f"row {pos + 1}: bad matrix header {lines[pos]!r}")
     try:
         rows, cols = int(header[0]), int(header[1])
+        if rows < 0 or cols < 0:
+            raise ValueError(f"negative shape {rows} x {cols}")
     except ValueError as exc:
         raise ParseError(f"row {pos + 1}: {exc}") from exc
     name = header[2]
@@ -55,18 +59,26 @@ def save_matrices(path, items: list[tuple[str, np.ndarray]]) -> None:
             write_matrix(fh, name, arr)
 
 
-def load_matrices(path) -> dict[str, np.ndarray]:
+def _read_blocks(path) -> dict[str, tuple[np.ndarray, int]]:
+    """Each block's values and the row number of its header."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
-    out: dict[str, np.ndarray] = {}
+    out: dict[str, tuple[np.ndarray, int]] = {}
     pos = 0
     while pos < len(lines):
         if not lines[pos].strip():
             pos += 1
             continue
+        row = pos + 1
         name, arr, pos = _read_block(lines, pos)
-        out[name] = arr
+        if name in out:
+            raise ParseError(f"row {row}: a second block named {name!r}")
+        out[name] = arr, row
     return out
+
+
+def load_matrices(path) -> dict[str, np.ndarray]:
+    return {name: arr for name, (arr, _) in _read_blocks(path).items()}
 
 
 def save_dictionaries(path, dicts: list[SegmentDictionary]) -> None:
@@ -75,12 +87,15 @@ def save_dictionaries(path, dicts: list[SegmentDictionary]) -> None:
 
 
 def load_dictionaries(path) -> list[SegmentDictionary]:
-    blocks = load_matrices(path)
     dicts = []
-    for name, arr in blocks.items():
+    for name, (arr, row) in _read_blocks(path).items():
         if not name.startswith("segment_"):
-            raise ParseError(f"unexpected block {name!r} in dictionary file")
-        dicts.append(SegmentDictionary(arr, int(name.split("_", 1)[1])))
+            raise ParseError(f"row {row}: unexpected block {name!r} in "
+                             f"dictionary file")
+        try:
+            dicts.append(SegmentDictionary(arr, int(name.split("_", 1)[1])))
+        except (ValueError, IndexError) as exc:
+            raise ParseError(f"row {row}: block {name!r}: {exc}") from exc
     return sorted(dicts, key=lambda d: d.segment_index)
 
 
@@ -90,11 +105,15 @@ def save_codes(path, codes: SparseCodeMatrix) -> None:
 
 
 def load_codes(path) -> SparseCodeMatrix:
-    blocks = load_matrices(path)
+    blocks = _read_blocks(path)
     try:
-        return SparseCodeMatrix(blocks["codes"], float(blocks["lambda"][0, 0]))
+        (codes, _), (lam, row) = blocks["codes"], blocks["lambda"]
     except KeyError as exc:
         raise ParseError(f"missing block {exc} in codes file") from exc
+    try:
+        return SparseCodeMatrix(codes, float(lam.item()))
+    except ValueError as exc:
+        raise ParseError(f"row {row}: block 'lambda': {exc}") from exc
 
 
 def save_labels(path, labels) -> None:
@@ -136,18 +155,21 @@ def load_svm(path) -> MultiClassSvm:
         if not lines[pos].strip():
             pos += 1
             continue
+        row = pos + 1
         fields = lines[pos].split()
         if fields[0] != "machine" or len(fields) != 7:
-            raise ParseError(f"row {pos + 1}: bad machine line")
-        a, b = fields[1], fields[2]
-        bias, gamma, c_penalty = (float(fields[3]), float(fields[4]),
-                                  float(fields[5]))
-        converged = bool(int(fields[6]))
-        pos += 1
-        _, sv, pos = _read_block(lines, pos)
+            raise ParseError(f"row {row}: bad machine line")
+        _, sv, pos = _read_block(lines, pos + 1)
         _, alphas, pos = _read_block(lines, pos)
         _, sv_idx, pos = _read_block(lines, pos)
-        machines.append(TrainedSvm(sv, alphas.ravel(), bias, gamma, c_penalty,
-                                   (a, b), sv_idx.ravel().astype(int),
-                                   converged))
-    return MultiClassSvm(tuple(machines), classes)
+        try:
+            machines.append(TrainedSvm(
+                sv, alphas.ravel(), float(fields[3]), float(fields[4]),
+                float(fields[5]), (fields[1], fields[2]),
+                sv_idx.ravel().astype(int), bool(int(fields[6]))))
+        except ValueError as exc:
+            raise ParseError(f"row {row}: {exc}") from exc
+    try:
+        return MultiClassSvm(tuple(machines), classes)
+    except ValueError as exc:
+        raise ParseError(f"row 1: {exc}") from exc

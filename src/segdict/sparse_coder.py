@@ -262,20 +262,3 @@ def coding_objective(D, Y, X, lam: float) -> float:
     R = Y - D @ X
     return 0.5 * float(np.sum(R * R)) + lam * float(np.abs(X).sum())
 
-
-def kkt_violation(D, y, x, lam: float) -> float:
-    """Largest subgradient-condition violation of x for the given instance.
-
-    Zero (up to solver tolerance) certifies optimality without any oracle.
-    """
-    D = np.asarray(D, dtype=float)
-    y = np.asarray(y, dtype=float).ravel()
-    x = np.asarray(x, dtype=float).ravel()
-    grad = D.T @ (D @ x - y)
-    nz = x != 0.0
-    worst = 0.0
-    if nz.any():
-        worst = float(np.abs(grad[nz] + lam * np.sign(x[nz])).max())
-    if (~nz).any():
-        worst = max(worst, float(np.maximum(np.abs(grad[~nz]) - lam, 0.0).max()))
-    return worst

@@ -1,10 +1,14 @@
-"""Independent reference implementations used only to check the solvers.
+"""Independent reference implementations and certificates used only to
+check the solvers.
 
-Everything here is deliberately brute-force: sign-pattern enumeration for
-the lasso, projected gradient for constrained least squares and the SVM
-dual, exhaustive partitions for k-means, direct summation for the DFT, and
-subset enumeration for the rank-sum distribution.  None of it shares code
-with the library paths under test.
+The solvers are deliberately brute-force: sign-pattern enumeration for the
+lasso, projected gradient for constrained least squares and the SVM dual,
+exhaustive partitions for k-means, direct summation for the DFT, and subset
+enumeration for the rank-sum distribution.  The certificates measure how
+far a solution is from optimal without any solver: the lasso subgradient
+conditions and the SVM dual KKT conditions, the latter on a decision
+function summed here.  None of it shares code with the library paths under
+test.
 """
 
 from __future__ import annotations
@@ -53,6 +57,23 @@ def lasso_brute_force(D, y, lam):
                     best_obj, best_x = obj, x
     return best_obj, best_x
 
+
+
+def lasso_kkt_violation(D, y, x, lam):
+    """Largest subgradient-condition violation of x for one lasso instance.
+
+    Zero (up to solver tolerance) certifies optimality without an oracle:
+    |grad_k + lam*sign(x_k)| on the support, max(|grad_k| - lam, 0) off it,
+    with grad = D^T (D x - y).
+    """
+    D = np.asarray(D, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    x = np.asarray(x, dtype=float).ravel()
+    grad = D.T @ (D @ x - y)
+    nz = x != 0.0
+    on = np.abs(grad[nz] + lam * np.sign(x[nz]))
+    off = np.maximum(np.abs(grad[~nz]) - lam, 0.0)
+    return float(np.concatenate([on, off, [0.0]]).max())
 
 def constrained_lsq_pg(Y, X, iters=30000, tol=1e-12):
     """min_D ||Y - D X||_F^2 s.t. ||d_k||_2 <= 1, by projected gradient."""
@@ -187,6 +208,28 @@ def svm_dual_pg(K, y, C, iters=200000, tol=1e-14):
             prev = obj
     return a, 0.5 * float(a @ (Q @ a)) - float(a.sum())
 
+
+
+def svm_kkt_violations(machine, X, y):
+    """Per-sample dual KKT violation of a binary machine on its training set.
+
+    With f(z) = sum_i a_i y_i exp(-gamma ||sv_i - z||^2) + b summed here
+    from the machine's support vectors, signed duals and bias: a sample at
+    a = 0 needs y f >= 1, one at a = C needs y f <= 1, and a free one needs
+    y f = 1.
+    """
+    X = np.atleast_2d(np.asarray(X, dtype=float))
+    y = np.asarray(y, dtype=float).ravel()
+    sv = machine.support_vectors
+    d2 = np.sum((sv[:, :, None] - X[:, None, :]) ** 2, axis=0)
+    yf = y * (machine.alphas @ np.exp(-machine.gamma * d2) + machine.bias)
+    alpha = np.zeros(y.size)
+    alpha[machine.sv_indices] = machine.alphas * y[machine.sv_indices]
+    at_c = alpha >= machine.c_penalty * (1 - 1e-9)
+    at_zero = alpha <= 1e-12
+    return np.where(at_zero, np.maximum(0.0, 1.0 - yf),
+                    np.where(at_c, np.maximum(0.0, yf - 1.0),
+                             np.abs(yf - 1.0)))
 
 def ranksum_enumeration(xs, ys):
     """Exact two-sided rank-sum p by enumerating every rank subset."""

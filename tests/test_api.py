@@ -1,7 +1,8 @@
-"""Package surface: ``segdict.__all__`` matches what ``__init__`` imports,
-no public solver callable takes a tolerance or cap, and the package needs
-nothing beyond numpy."""
+"""Package surface: ``segdict.__all__`` lists the public names, no public
+solver callable takes a tolerance or cap, the functions the benchmark
+traces exist, and the package needs nothing beyond numpy."""
 
+import importlib.util
 import inspect
 import os
 import subprocess
@@ -9,7 +10,29 @@ import sys
 import types
 from pathlib import Path
 
+import numpy as np
+
 import segdict
+
+REPO = Path(__file__).resolve().parents[1]
+
+PUBLIC_NAMES = {
+    "BeatMatrix", "SegmentDictionary", "SegmentSpec", "SparseCodeMatrix",
+    "segment_view", "stack_dictionaries",
+    "VqCodebook", "VqCodeMatrix", "assign_codes", "fft_features",
+    "kmeans_train", "one_hot_codes", "vq_encode",
+    "MultiClassSvm", "TrainedSvm", "grid_search_cv", "predict_batch",
+    "rbf_gram", "smo_train", "train_multiclass",
+    "DualState", "TrainConfig", "encode_beats", "lagrange_dual_update",
+    "train_segment_dictionaries",
+    "EvalReport", "FftFeatures", "SparseDictFeatures", "SplitPlan",
+    "VqFeatures", "evaluate", "run_single", "stratified_split",
+    "wilcoxon_rank_sum",
+    "RawBeatRecord", "build_beat_matrix", "load_dataset", "normalize_beat",
+    "resample_beat",
+    "batch_encode", "coding_objective", "feature_sign_solve",
+    "generate_planted_dataset", "write_beats_csv",
+}
 
 PIPELINE_WITHOUT_SCIPY = """
 import sys
@@ -37,6 +60,34 @@ def test_all_names_exactly_the_imported_public_attributes():
               if not name.startswith("_")
               and not isinstance(value, types.ModuleType)}
     assert set(segdict.__all__) == public
+
+
+def test_public_names_are_the_pinned_list():
+    # a name leaves or joins the package surface only with this list
+    assert len(PUBLIC_NAMES) == 44
+    assert set(segdict.__all__) == PUBLIC_NAMES
+
+
+def test_every_traced_benchmark_function_exists():
+    # perfbench/tracing.py imports only the standard library; its TRACED
+    # pairs are looked up with getattr, so a missing name breaks traced runs
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_tracing", REPO / "perfbench" / "tracing.py")
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [f"{home}.{fname}" for home, fname in tracing.TRACED
+               if not callable(getattr(importlib.import_module(
+                   f"segdict.{home}"), fname, None))]
+    assert missing == []
+
+
+def test_dual_update_returns_its_newton_history():
+    # the benchmark counts Newton steps as len(state.r_history) - 1
+    rng = np.random.default_rng(0)
+    _, state = segdict.lagrange_dual_update(
+        rng.normal(size=(3, 8)), rng.normal(size=(4, 8)),
+        segdict.TrainConfig(k=3))
+    assert isinstance(state.r_history, tuple) and len(state.r_history) >= 1
 
 
 def test_no_solver_callable_takes_a_solver_knob():

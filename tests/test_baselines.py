@@ -67,6 +67,28 @@ def test_kmeans_insufficient_points():
         kmeans_train(np.ones((2, 3)), 4)
 
 
+
+@pytest.mark.parametrize("seeding", ["random", "kmeanspp"])
+def test_kmeans_names_too_few_distinct_points(seeding):
+    # 6 columns holding 2 distinct points cannot give 3 distinct centers
+    segments = np.tile(np.array([[0.0, 1.0], [2.0, 3.0]]), (1, 3))
+    with pytest.raises(InsufficientDataError,
+                       match="^segment 2: fewer than 3 distinct points for "
+                             "k=3, got 2$"):
+        kmeans_train(segments, 3, seeding, seed=0, segment_index=2)
+
+
+@pytest.mark.parametrize("seeding", ["random", "kmeanspp"])
+def test_kmeans_trains_on_repeated_points_when_k_are_distinct(seeding):
+    points = np.random.default_rng(0).normal(size=(5, 4))
+    segments = points[:, np.arange(13) % 4]
+    for seed in range(20):
+        cb = kmeans_train(segments, 4, seeding, seed=seed)
+        assert cb.distortions[-1] == pytest.approx(0.0, abs=1e-24)
+        for i in range(4):
+            assert any(np.allclose(cb.centers[:, i], points[:, j])
+                       for j in range(4))
+
 def test_assign_codes_exact_center_and_ties():
     centers = np.array([[10.0, 1.0, 20.0, 30.0, 3.0]])
     cb = VqCodebook(centers)

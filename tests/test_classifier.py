@@ -10,12 +10,12 @@ from segdict import classifier
 from segdict.classifier import (MultiClassSvm, TrainedSvm, _cv_correct,
                                 _pair_problems, _smo_batch, _stratified_folds,
                                 decision_values, grid_search_cv,
-                                kkt_violations, predict_batch, rbf_gram,
-                                smo_train, train_multiclass)
+                                predict_batch, rbf_gram, smo_train,
+                                train_multiclass)
 from segdict.errors import (ConvergenceWarning, InsufficientDataError,
                             SingleClassError)
 
-from oracles import svm_dual_pg
+from oracles import svm_dual_pg, svm_kkt_violations
 
 
 def dual_objective_value(features, labels, alphas_signed, sv_idx, gamma):
@@ -100,7 +100,7 @@ def test_xor_training_accuracy():
     from segdict.classifier import decision_values
     f = decision_values(m, X)
     assert np.all(np.sign(f) == y)
-    assert kkt_violations(m, X, y).max() <= 1e-3
+    assert svm_kkt_violations(m, X, y).max() <= 1e-3
 
 
 def test_dual_objective_matches_qp_oracle():
@@ -128,7 +128,7 @@ def test_smo_kkt_over_random_instances():
         C = float(rng.uniform(0.5, 20.0))
         gamma = float(rng.uniform(0.2, 2.0))
         machine = smo_train(X, y, C, gamma)
-        assert kkt_violations(machine, X, y).max() <= 1e-3
+        assert svm_kkt_violations(machine, X, y).max() <= 1e-3
         # equality constraint and box constraint
         assert abs(machine.alphas.sum()) <= 1e-6 * np.abs(machine.alphas).sum() + 1e-9
         assert np.all(np.abs(machine.alphas) <= C * (1 + 1e-9))
@@ -164,7 +164,7 @@ def test_final_bias_treats_alpha_one_ulp_below_c_as_bound():
     m = smo_train(X, y, C, 0.0625, on_step=lambda alpha, b: seen.append(alpha))
     assert np.any(seen[-1] == np.nextafter(C, 0.0))
     assert m.converged
-    assert kkt_violations(m, X, y).max() <= tol
+    assert svm_kkt_violations(m, X, y).max() <= tol
     assert not np.any(np.abs(m.alphas) == np.nextafter(C, 0.0))
 
 

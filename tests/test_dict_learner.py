@@ -8,16 +8,15 @@ import pytest
 from segdict import dict_learner
 from segdict.beat_model import BeatMatrix, SegmentSpec, segment_view
 from segdict.dict_learner import (DualState, TrainConfig, _init_atoms,
-                                  _train_one, dual_objective, encode_beats,
+                                  _train_one, encode_beats,
                                   lagrange_dual_update,
                                   train_segment_dictionaries)
-from segdict.errors import (ConvergenceWarning, IndefiniteSystemError,
-                            InsufficientDataError)
+from segdict.errors import ConvergenceWarning, InsufficientDataError
 from segdict.ingest import normalize_beat
-from segdict.sparse_coder import kkt_violation
 from segdict.synthetic import generate_planted_dataset
 
-from oracles import constrained_lsq_pg, lagrangian_min_gd
+from oracles import (constrained_lsq_pg, lagrangian_min_gd,
+                     lasso_kkt_violation)
 
 TIGHT = TrainConfig(k=2, lam=0.1, newton_tol=1e-10, newton_max=200)
 
@@ -52,26 +51,13 @@ def test_training_requires_distinct_columns_naming_the_segment():
         train_segment_dictionaries(beats, spec, TrainConfig(k=2), np.arange(3))
 
 
-def test_dual_objective_identity_cases():
-    eye = np.eye(2)
-    assert dual_objective(np.zeros(2), eye, eye) == pytest.approx(0.0)
-    assert dual_objective(np.ones(2), eye, eye) == pytest.approx(-1.0)
-
-
-def test_dual_objective_rejects_an_indefinite_system():
-    # X X^T + Lam = diag(-1, 2)
-    eye = np.eye(2)
-    with pytest.raises(IndefiniteSystemError, match="not positive definite"):
-        dual_objective(np.array([-2.0, 1.0]), eye, eye)
-
-
 def test_dual_objective_matches_lagrangian_min():
+    # Newton starts from lam = 1, so the first recorded R is R(1)
     rng = np.random.default_rng(3)
     X = rng.normal(size=(3, 5))
     Y = rng.normal(size=(4, 5))
-    lam = rng.uniform(0.5, 2.0, size=3)
-    r = dual_objective(lam, X, Y)
-    oracle = lagrangian_min_gd(Y, X, lam)
+    r = lagrange_dual_update(X, Y, TrainConfig(k=3))[1].r_history[0]
+    oracle = lagrangian_min_gd(Y, X, np.ones(3))
     assert r == pytest.approx(oracle, abs=1e-5)
 
 
@@ -346,8 +332,8 @@ def test_encode_beats_against_planted_atom():
     from segdict.beat_model import stack_dictionaries
     stacked = stack_dictionaries(dicts)
     for i in range(0, 60, 7):
-        assert kkt_violation(stacked, beats.samples[:, i],
-                             codes.codes[:, i], 0.01) <= 1e-6
+        assert lasso_kkt_violation(stacked, beats.samples[:, i],
+                                   codes.codes[:, i], 0.01) <= 1e-6
 
 
 def test_encode_beats_zero_code_when_lambda_large():

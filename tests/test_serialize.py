@@ -35,6 +35,13 @@ def test_matrix_rejects_bad_header(tmp_path):
         serialize.load_matrices(path)
 
 
+def test_matrix_rejects_a_negative_shape(tmp_path):
+    path = tmp_path / "m.txt"
+    path.write_text("-2 3 codes\n")
+    with pytest.raises(ParseError, match="^row 1: negative shape -2 x 3$"):
+        serialize.load_matrices(path)
+
+
 def test_dictionary_round_trip(tmp_path):
     rng = np.random.default_rng(1)
     dicts = []
@@ -83,22 +90,132 @@ def test_svm_round_trip_preserves_predictions(tmp_path):
     assert predict_batch(loaded, probe) == predict_batch(model, probe)
 
 
-@pytest.mark.parametrize("column,field", [(4, "gamma"), (5, "c_penalty")])
-def test_load_svm_rejects_a_nan_gamma_or_c(tmp_path, column, field):
+def binary_svm_lines(path):
+    """Lines of a saved one-machine model: classes, machine, three blocks."""
     rng = np.random.default_rng(3)
     X = np.hstack([rng.normal(size=(2, 6)) - 1.5, rng.normal(size=(2, 6)) + 1.5])
     y = np.array([1.0] * 6 + [-1.0] * 6)
-    path = tmp_path / "svm.txt"
     serialize.save_svm(path, MultiClassSvm(
         (smo_train(X, y, 3.0, 0.7, class_pair=("p", "q")),), ("p", "q")))
     lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[1].split()[0] == "machine"
+    return lines
+
+
+def write_lines(path, lines):
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+
+
+@pytest.mark.parametrize("column,field", [(4, "gamma"), (5, "c_penalty")])
+def test_load_svm_rejects_a_nan_gamma_or_c(tmp_path, column, field):
+    path = tmp_path / "svm.txt"
+    lines = binary_svm_lines(path)
     fields = lines[1].split()
-    assert fields[0] == "machine"
     fields[column] = "nan"
     lines[1] = " ".join(fields)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    with pytest.raises(ValueError, match=f"^{field} must be positive, got nan$"):
+    write_lines(path, lines)
+    with pytest.raises(ParseError,
+                       match=f"^row 2: {field} must be positive, got nan$"):
         serialize.load_svm(path)
+
+
+@pytest.mark.parametrize("column,value,message", [
+    (3, "abc", "could not convert string to float: 'abc'"),
+    (6, "x", "invalid literal for int"),
+], ids=["bias", "converged"])
+def test_load_svm_names_the_row_of_a_bad_machine_value(tmp_path, column,
+                                                       value, message):
+    path = tmp_path / "svm.txt"
+    lines = binary_svm_lines(path)
+    fields = lines[1].split()
+    fields[column] = value
+    lines[1] = " ".join(fields)
+    write_lines(path, lines)
+    with pytest.raises(ParseError, match=f"^row 2: {message}"):
+        serialize.load_svm(path)
+
+
+def test_load_svm_names_the_row_where_a_cut_file_ends(tmp_path):
+    path = tmp_path / "svm.txt"
+    write_lines(path, binary_svm_lines(path)[:2])
+    with pytest.raises(ParseError,
+                       match="^row 3: file ends before a matrix header$"):
+        serialize.load_svm(path)
+
+
+def test_load_svm_names_the_classes_row_when_machines_are_missing(tmp_path):
+    path = tmp_path / "svm.txt"
+    lines = binary_svm_lines(path)
+    lines[0] = "classes a b c"
+    write_lines(path, lines)
+    with pytest.raises(ParseError,
+                       match="^row 1: 1 machines for 3 classes, expected 3$"):
+        serialize.load_svm(path)
+
+
+def test_load_svm_names_the_classes_row_when_pairs_disagree(tmp_path):
+    path = tmp_path / "svm.txt"
+    lines = binary_svm_lines(path)
+    lines[0] = "classes a b"
+    write_lines(path, lines)
+    with pytest.raises(ParseError, match="^row 1: the machines' class pairs "
+                                         "are not the pairs of classes a b$"):
+        serialize.load_svm(path)
+
+
+def two_dictionary_lines(path):
+    """Lines of saved dictionaries for segments 1 and 2 (3 x 2 atoms)."""
+    atoms = np.random.default_rng(4).normal(size=(3, 2))
+    atoms /= np.linalg.norm(atoms, axis=0)
+    serialize.save_dictionaries(path, [SegmentDictionary(atoms, 1),
+                                       SegmentDictionary(atoms, 2)])
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[4] == "3 2 segment_2"
+    return lines
+
+
+def test_load_dictionaries_names_the_row_of_a_bad_segment_index(tmp_path):
+    path = tmp_path / "d.txt"
+    lines = two_dictionary_lines(path)
+    lines[4] = "3 2 segment_x"
+    write_lines(path, lines)
+    with pytest.raises(ParseError, match="^row 5: block 'segment_x': "):
+        serialize.load_dictionaries(path)
+
+
+def test_load_dictionaries_names_the_row_of_a_repeated_block(tmp_path):
+    path = tmp_path / "d.txt"
+    lines = two_dictionary_lines(path)
+    lines[4] = "3 2 segment_1"
+    write_lines(path, lines)
+    with pytest.raises(ParseError,
+                       match="^row 5: a second block named 'segment_1'$"):
+        serialize.load_dictionaries(path)
+
+
+def test_load_dictionaries_names_the_row_of_an_over_long_atom(tmp_path):
+    path = tmp_path / "d.txt"
+    lines = two_dictionary_lines(path)
+    lines[5:8] = [" ".join(repr(5.0 * float(v)) for v in line.split())
+                  for line in lines[5:8]]
+    write_lines(path, lines)
+    with pytest.raises(ParseError, match=r"^row 5: block 'segment_2': atom "
+                                         r"norm exceeds 1 \(max 5\.0+\)$"):
+        serialize.load_dictionaries(path)
+
+
+@pytest.mark.parametrize("block,message", [
+    (["1 1 lambda", "nan"], "lam must be positive, got nan"),
+    (["1 2 lambda", "0.1 0.2"], "can only convert an array of size 1"),
+], ids=["nan", "two_values"])
+def test_load_codes_names_the_row_of_a_bad_lambda(tmp_path, block, message):
+    path = tmp_path / "c.txt"
+    serialize.save_codes(path, SparseCodeMatrix(np.zeros((2, 2)), 0.1))
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[3:] == ["1 1 lambda", "0.10000000000000001"]
+    write_lines(path, lines[:3] + block)
+    with pytest.raises(ParseError, match=f"^row 4: block 'lambda': {message}"):
+        serialize.load_codes(path)
 
 
 def test_binary_machine_survives_round_trip(tmp_path):

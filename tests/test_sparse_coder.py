@@ -8,10 +8,9 @@ import pytest
 from segdict import sparse_coder
 from segdict.errors import ConvergenceWarning, SingularActiveSetError
 from segdict.sparse_coder import (_solve_active_sets, batch_encode,
-                                  coding_objective, feature_sign_solve,
-                                  kkt_violation)
+                                  coding_objective, feature_sign_solve)
 
-from oracles import lasso_brute_force
+from oracles import lasso_brute_force, lasso_kkt_violation
 
 
 def random_instance(rng, d, k):
@@ -54,7 +53,7 @@ def test_oracle_equivalence_sweep():
         lam = float(rng.uniform(0.05, 0.5))
         D, y = random_instance(rng, d, k)
         x = feature_sign_solve(D, y, lam)
-        assert kkt_violation(D, y, x, lam) <= 1e-6
+        assert lasso_kkt_violation(D, y, x, lam) <= 1e-6
         obj = coding_objective(D, y.reshape(-1, 1), x.reshape(-1, 1), lam)
         best_obj, _ = lasso_brute_force(D, y, lam)
         assert obj <= best_obj + 1e-8
@@ -103,7 +102,7 @@ def test_rank_deficient_active_set_survives_via_ridge():
     y = np.array([3.0, 1.0])
     lam = 0.1
     x = feature_sign_solve(D, y, lam)
-    assert kkt_violation(D, y, x, lam) <= 1e-6
+    assert lasso_kkt_violation(D, y, x, lam) <= 1e-6
 
 
 def test_rejects_bad_inputs():
@@ -194,7 +193,7 @@ def test_rank_deficient_column_among_ordinary_columns(monkeypatch):
     assert any({7, 12} <= cols for cols, _ in retried)
     assert all(ok.all() for _, ok in retried)
     for i in range(20):
-        assert kkt_violation(D, Y[:, i], X[:, i], lam) <= 1e-6
+        assert lasso_kkt_violation(D, Y[:, i], X[:, i], lam) <= 1e-6
 
 
 def test_singular_failure_names_its_column(monkeypatch):
