@@ -2,14 +2,17 @@
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
 from .beat_model import BeatMatrix, SegmentSpec, segment_view
-from .errors import InsufficientDataError, ShapeMismatchError
+from .errors import (ConvergenceWarning, InsufficientDataError,
+                     ShapeMismatchError)
 
 _DIFF_BLOCK = 1 << 16     # values in one block of point-center differences
+_LLOYD_MAX = 100          # Lloyd passes per fit; a fit that hits it warns
 
 
 @dataclass(frozen=True)
@@ -102,8 +105,9 @@ def _seed_kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
 
 
 def kmeans_train(segments, k: int, seeding: str = "kmeanspp", seed: int = 0,
-                 max_iter: int = 100, segment_index: int = 1) -> VqCodebook:
-    """Lloyd iterations until assignments stabilize or max_iter.
+                 segment_index: int = 1) -> VqCodebook:
+    """Lloyd iterations until assignments stabilize, for at most _LLOYD_MAX
+    passes; warns (ConvergenceWarning) when the cap is hit.
 
     Empty clusters are re-seeded from the point farthest from its current
     center, which keeps the distortion non-increasing.  Fewer than k
@@ -126,7 +130,7 @@ def kmeans_train(segments, k: int, seeding: str = "kmeanspp", seed: int = 0,
 
     distortions = []
     prev_assign = None
-    for _ in range(max_iter):
+    for _ in range(_LLOYD_MAX):
         d2 = _sq_dists(points, centers)
         assign = np.argmin(d2, axis=1)  # ties go to the lowest center index
         distortions.append(float(d2[np.arange(n), assign].sum()))
@@ -142,6 +146,10 @@ def kmeans_train(segments, k: int, seeding: str = "kmeanspp", seed: int = 0,
                 far = int(np.argmax(own))
                 centers[c] = points[far]
                 own[far] = 0.0  # keep a second empty cluster from grabbing it
+    else:
+        warnings.warn(f"segment {segment_index}: k-means took {_LLOYD_MAX} "
+                      f"Lloyd passes without its assignments settling",
+                      ConvergenceWarning, stacklevel=2)
 
     try:
         return VqCodebook(centers.T, segment_index, tuple(distortions))

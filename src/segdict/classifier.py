@@ -22,7 +22,8 @@ from itertools import combinations
 import numpy as np
 
 from .errors import (ConvergenceWarning, InsufficientDataError,
-                     LengthMismatchError, SingleClassError)
+                     LengthMismatchError, ShapeMismatchError,
+                     SingleClassError)
 
 DEFAULT_C_GRID = tuple(2.0 ** e for e in range(-3, 11, 2))       # 2^-3 .. 2^9
 DEFAULT_GAMMA_GRID = tuple(2.0 ** e for e in range(-10, 4, 2))   # 2^-10 .. 2^2
@@ -310,6 +311,11 @@ def predict_batch(model: MultiClassSvm, Z) -> list[str]:
     it won, then to lexicographic label order.
     """
     Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    for m in model.machines:
+        if m.support_vectors.shape[0] != Z.shape[0]:
+            raise ShapeMismatchError(
+                f"features have {Z.shape[0]} rows, the model was trained "
+                f"on {m.support_vectors.shape[0]}")
     F = np.array([decision_values(m, Z) for m in model.machines])
     pairs = [m.class_pair for m in model.machines]
     return _vote(F.reshape(-1, Z.shape[1]), pairs, model.classes).tolist()

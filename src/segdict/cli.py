@@ -40,10 +40,7 @@ class RunConfig:
     k: int = 32
     lam: float = 0.15
     outer_iters: int = 30
-    newton_tol: float = 1e-6
-    newton_max: int = 50
     subset_size: int = 1000
-    kmeans_max_iter: int = 100
     n_coeffs: int = 100
     c_grid: tuple[float, ...] = tuple(DEFAULT_C_GRID)
     gamma_grid: tuple[float, ...] = tuple(DEFAULT_GAMMA_GRID)
@@ -59,12 +56,9 @@ class RunConfig:
         if self.j_count < 1 or self.k < 2 or not self.lam > 0:
             raise ConfigError(f"j_count >= 1, k >= 2 and lambda > 0 required, got "
                               f"j_count={self.j_count}, k={self.k}, lambda={self.lam:g}")
-        if self.outer_iters < 1 or self.newton_max < 1 or not self.newton_tol > 0:
-            raise ConfigError(f"bad dictionary-training controls, got outer_iters="
-                              f"{self.outer_iters}, newton_max={self.newton_max}, "
-                              f"newton_tol={self.newton_tol:g}")
-        if self.subset_size < 1 or self.kmeans_max_iter < 1 or self.n_coeffs < 1:
-            raise ConfigError("subset_size, kmeans_max_iter, n_coeffs must be >= 1")
+        if self.outer_iters < 1 or self.subset_size < 1 or self.n_coeffs < 1:
+            raise ConfigError(f"outer_iters, subset_size and n_coeffs must be >= 1, "
+                              f"got {self.outer_iters}, {self.subset_size}, {self.n_coeffs}")
         if self.folds < 2 or self.reps < 1:
             raise ConfigError("folds must be >= 2 and reps >= 1")
         if not self.c_grid or not self.gamma_grid:
@@ -77,7 +71,6 @@ class RunConfig:
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
         return TrainConfig(k=self.k, lam=self.lam, outer_iters=self.outer_iters,
-                           newton_tol=self.newton_tol, newton_max=self.newton_max,
                            seed=self.seed if seed is None else seed,
                            subset_size=self.subset_size)
 
@@ -104,10 +97,7 @@ _PARSERS = {
     "k": int,
     "lambda": float,
     "outer_iters": int,
-    "newton_tol": float,
-    "newton_max": int,
     "subset_size": int,
-    "kmeans_max_iter": int,
     "n_coeffs": int,
     "c_grid": lambda s: tuple(float(v) for v in s.split(",") if v.strip()),
     "gamma_grid": lambda s: tuple(float(v) for v in s.split(",") if v.strip()),
@@ -178,11 +168,11 @@ def _make_method(name: str, cfg: RunConfig, seed: int, gamma: int):
     if name == "sparse":
         return SparseDictFeatures(spec, cfg.train_config(seed))
     if name == "kmeans":
-        return VqFeatures(spec, cfg.k, "random", seed, cfg.kmeans_max_iter,
-                          cfg.subset_size)
+        return VqFeatures(spec, cfg.k, "random", seed,
+                          subset_size=cfg.subset_size)
     if name == "kmeanspp":
-        return VqFeatures(spec, cfg.k, "kmeanspp", seed, cfg.kmeans_max_iter,
-                          cfg.subset_size)
+        return VqFeatures(spec, cfg.k, "kmeanspp", seed,
+                          subset_size=cfg.subset_size)
     if name == "fft":
         return FftFeatures(cfg.n_coeffs)
     raise ConfigError(f"unknown method {name!r}")
@@ -287,7 +277,7 @@ def cmd_train_svm(args) -> int:
                               cfg.c_grid, cfg.gamma_grid, cfg.folds, cfg.seed)
     model = _stage("train-svm", train_multiclass, codes.codes[:, train_idx],
                    labels[train_idx], c_penalty, gamma)
-    serialize.save_svm(out_dir / "svm_model.txt", model)
+    _stage("train-svm", serialize.save_svm, out_dir / "svm_model.txt", model)
     print(f"chose C={c_penalty:g} gamma={gamma:g}; wrote {out_dir / 'svm_model.txt'}")
     return 0
 
@@ -300,7 +290,7 @@ def cmd_predict(args) -> int:
                    args.model or out_dir / "svm_model.txt")
     codes = _stage("predict", serialize.load_codes,
                    args.codes or out_dir / "codes.txt")
-    pred = predict_batch(model, codes.codes)
+    pred = _stage("predict", predict_batch, model, codes.codes)
     _write_csv(out_dir / "predictions.csv", ["index", "label"],
                [[i, p] for i, p in enumerate(pred)])
     print(f"wrote {out_dir / 'predictions.csv'}")

@@ -45,6 +45,8 @@ from .errors import (ConvergenceWarning, InsufficientDataError, SegdictError,
 from .sparse_coder import batch_encode, coding_objective
 
 _EARLY_STOP_REL = 1e-6
+_NEWTON_TOL = 1e-6        # relative step at which Newton stops
+_NEWTON_MAX = 50          # Newton steps per dual solve; hitting it warns
 # the guard corrects an atom whose squared norm exceeds 1 + _GUARD_SLACK,
 # at most _GUARD_ROUNDS * k times per dual solve
 _GUARD_SLACK = 1e-9
@@ -78,8 +80,6 @@ class TrainConfig:
     k: int = 32
     lam: float = 0.15
     outer_iters: int = 30
-    newton_tol: float = 1e-6
-    newton_max: int = 50
     seed: int = 0
     subset_size: int = 1000
 
@@ -90,9 +90,6 @@ class TrainConfig:
             raise ValueError(f"lam must be positive, got {self.lam:g}")
         if self.outer_iters < 1:
             raise ValueError("outer_iters must be >= 1")
-        if not self.newton_tol > 0 or self.newton_max < 1:
-            raise ValueError(f"bad Newton controls: newton_tol="
-                             f"{self.newton_tol:g}, newton_max={self.newton_max}")
         if self.subset_size < 1:
             raise ValueError("subset_size must be >= 1")
 
@@ -127,12 +124,12 @@ def _inverse_factor(A: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(A))
 
 
-def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
+def _newton_dual(X: np.ndarray, Y: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, list[float], bool]:
     """Maximize R over lam >= 0; X must have no all-zero rows.
 
     Returns lam, M = (X X^T + Lam)^{-1} X Y^T (the transposed dictionary),
-    R at every accepted step, and whether Newton stopped before max_iter.
+    R at every accepted step, and whether Newton stopped before _NEWTON_MAX.
     """
     k = X.shape[0]
     XXt = X @ X.T
@@ -168,7 +165,7 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
         return None
 
     converged = True
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX):
         GtG = M @ M.T                      # (G^T G) with G = (M)^T
         grad = np.diag(GtG) - 1.0
         # coordinates clamped at zero with inward gradient stay fixed;
@@ -196,7 +193,7 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
         step_norm = float(np.linalg.norm(cand - lam))
         lam = cand
         history.append(r_cur)
-        if step_norm / lam_prev_norm < tol:
+        if step_norm / lam_prev_norm < _NEWTON_TOL:
             break
     else:
         converged = False
@@ -216,16 +213,16 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, tol: float, max_iter: int
     return lam, M, history, converged
 
 
-def lagrange_dual_update(X, Y, cfg: TrainConfig, segment_index: int = 1,
+def lagrange_dual_update(X, Y, *, segment_index: int = 1,
                          rng: np.random.Generator | None = None
                          ) -> tuple[SegmentDictionary, DualState]:
     """One dictionary update for fixed codes X against data Y.
 
     Rows of X that are identically zero (unused atoms) are excluded from the
-    dual system; their atoms come back re-initialized from random data
-    columns with dual variable 0.  Warns (ConvergenceWarning) when Newton
-    stops at cfg.newton_max, and when the feasibility guard runs out of
-    corrections with an atom still over unit norm.
+    dual system; their atoms come back as data columns drawn by rng
+    (default_rng(0) if None), with dual variable 0.  Warns (ConvergenceWarning)
+    when Newton stops at _NEWTON_MAX, and when the feasibility guard runs
+    out of corrections with an atom still over unit norm.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -238,13 +235,11 @@ def lagrange_dual_update(X, Y, cfg: TrainConfig, segment_index: int = 1,
     if used.size == 0:
         raise InsufficientDataError("no atom is used by any code")
 
-    lam_used, M, history, converged = _newton_dual(
-        X[used], Y, cfg.newton_tol, cfg.newton_max)
+    lam_used, M, history, converged = _newton_dual(X[used], Y)
     if not converged:
         warnings.warn(f"segment {segment_index}: Newton's method took "
-                      f"newton_max={cfg.newton_max} steps without its "
-                      f"relative step falling below "
-                      f"newton_tol={cfg.newton_tol:g}",
+                      f"{_NEWTON_MAX} steps without its relative step "
+                      f"falling below {_NEWTON_TOL:g}",
                       ConvergenceWarning, stacklevel=2)
     norms2 = np.einsum("ij,ij->i", M, M)
     worst = int(np.argmax(norms2))
@@ -261,7 +256,7 @@ def lagrange_dual_update(X, Y, cfg: TrainConfig, segment_index: int = 1,
     lam_full[used] = lam_used
 
     if rng is None:
-        rng = np.random.default_rng(cfg.seed)
+        rng = np.random.default_rng(0)
     used_mask = np.zeros(k, dtype=bool)
     used_mask[used] = True
     norms = np.linalg.norm(atoms, axis=0)
@@ -294,8 +289,8 @@ def _train_one(segments: np.ndarray, cfg: TrainConfig, segment_index: int,
                 f"every code is zero at lambda={cfg.lam:.6g}: lambda must "
                 f"stay below lambda_max={lam_max:.6g}, the largest "
                 f"|d_k^T y| over the {segments.shape[1]} training columns")
-        dictionary, _ = lagrange_dual_update(codes, segments, cfg,
-                                             segment_index, rng=rng)
+        dictionary, _ = lagrange_dual_update(
+            codes, segments, segment_index=segment_index, rng=rng)
         obj = coding_objective(dictionary.atoms, segments, codes, cfg.lam)
         if log_fn is not None:
             log_fn(segment_index, it, obj)

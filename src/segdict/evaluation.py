@@ -196,13 +196,12 @@ class VqFeatures:
     """Per-segment k-means codebooks, one-hot encoded for the classifier."""
 
     def __init__(self, spec: SegmentSpec, k: int, seeding: str = "random",
-                 seed: int = 0, max_iter: int = 100, subset_size: int = 1000):
+                 seed: int = 0, *, subset_size: int = 1000):
         self.name = "kmeans" if seeding == "random" else "kmeanspp"
         self.spec = spec
         self.k = k
         self.seeding = seeding
         self.seed = seed
-        self.max_iter = max_iter
         self.subset_size = subset_size
         self.codebooks: list | None = None
 
@@ -210,7 +209,7 @@ class VqFeatures:
         subset = sample_subset(train_beats.count, self.subset_size, self.seed)
         self.codebooks = [
             kmeans_train(segment_view(train_beats, self.spec, j)[:, subset],
-                         self.k, self.seeding, self.seed + j, self.max_iter,
+                         self.k, self.seeding, self.seed + j,
                          segment_index=j)
             for j in range(1, self.spec.j_count + 1)
         ]

@@ -130,7 +130,7 @@ def load_labels(path) -> list[str]:
 def save_svm(path, model: MultiClassSvm) -> None:
     for c in model.classes:
         if any(ch.isspace() for ch in c):
-            raise ValueError(f"label {c!r} contains whitespace")
+            raise ValueError(f"label {str(c)!r} contains whitespace")
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("classes " + " ".join(model.classes) + "\n")
         for i, m in enumerate(model.machines):
@@ -161,12 +161,20 @@ def load_svm(path) -> MultiClassSvm:
             raise ParseError(f"row {row}: bad machine line")
         _, sv, pos = _read_block(lines, pos + 1)
         _, alphas, pos = _read_block(lines, pos)
+        idx_row = pos + 2                  # the indices' value row
         _, sv_idx, pos = _read_block(lines, pos)
+        idx = sv_idx.ravel()
+        # positions np.flatnonzero gave; above 2**53 floats skip integers
+        if not (np.all((idx >= 0) & (idx <= 2.0 ** 53) & (idx == np.floor(idx)))
+                and np.all(np.diff(idx) > 0)):
+            raise ParseError(f"row {idx_row}: support-vector indices must be "
+                             f"distinct non-negative integers in increasing "
+                             f"order")
         try:
             machines.append(TrainedSvm(
                 sv, alphas.ravel(), float(fields[3]), float(fields[4]),
                 float(fields[5]), (fields[1], fields[2]),
-                sv_idx.ravel().astype(int), bool(int(fields[6]))))
+                idx.astype(int), bool(int(fields[6]))))
         except ValueError as exc:
             raise ParseError(f"row {row}: {exc}") from exc
     try:

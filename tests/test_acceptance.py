@@ -82,8 +82,7 @@ def test_criterion_03_lagrange_dual_correctness():
         Y = rng.normal(size=(d, n))
         X = rng.normal(size=(k, n)) * (rng.random(size=(k, n)) < 0.5)
         X[0] += rng.normal(size=n) * 0.1
-        cfg = TrainConfig(k=k, lam=0.1, newton_tol=1e-12, newton_max=300)
-        D, dual = lagrange_dual_update(X, Y, cfg)
+        D, dual = lagrange_dual_update(X, Y)
         ours = float(np.sum((Y - D.atoms @ X) ** 2))
         _, oracle = constrained_lsq_pg(Y, X, iters=200000)
         ok &= abs(ours - oracle) <= 1e-4
@@ -111,8 +110,7 @@ def test_criterion_04_alternation_monotonicity():
                                     + 0.15 * rng.normal(size=(d, n)))
     matrix = BeatMatrix(beats, tuple("N" * n))
     spec = SegmentSpec.equal(gamma, j_count)
-    cfg = TrainConfig(k=k, lam=0.05, outer_iters=30, seed=11,
-                      newton_tol=1e-11, newton_max=300)
+    cfg = TrainConfig(k=k, lam=0.05, outer_iters=30, seed=11)
     history = {j: [] for j in range(1, j_count + 1)}
     train_segment_dictionaries(matrix, spec, cfg, np.arange(n),
                                log_fn=lambda j, t, o: history[j].append(o))
@@ -294,8 +292,7 @@ def test_criterion_09_timing_direction(tmp_path):
     refit_sparse = train_segment_dictionaries(train_beats, spec, sparse.cfg,
                                               every)
     refit_vq = [kmeans_train(segment_view(train_beats, spec, j)[:, every], k,
-                             "random", vq.seed + j, vq.max_iter,
-                             segment_index=j)
+                             "random", vq.seed + j, segment_index=j)
                 for j in range(1, spec.j_count + 1)]
     equal_subset = (n_train == 100
                     and all(np.array_equal(a.atoms, b.atoms) for a, b

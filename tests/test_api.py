@@ -85,17 +85,18 @@ def test_dual_update_returns_its_newton_history():
     # the benchmark counts Newton steps as len(state.r_history) - 1
     rng = np.random.default_rng(0)
     _, state = segdict.lagrange_dual_update(
-        rng.normal(size=(3, 8)), rng.normal(size=(4, 8)),
-        segdict.TrainConfig(k=3))
+        rng.normal(size=(3, 8)), rng.normal(size=(4, 8)))
     assert isinstance(state.r_history, tuple) and len(state.r_history) >= 1
 
 
 def test_no_solver_callable_takes_a_solver_knob():
-    # feature-sign search and SMO run at fixed tolerances and caps; the
-    # k-means baseline's max_iter is the kmeans_max_iter config key
-    knobs = {"opts", "tol", "max_sweeps", "max_iter", "opt_tol"}
+    # feature-sign search, the dual Newton method, SMO and Lloyd's k-means
+    # run at fixed tolerances and caps
+    knobs = {"opts", "tol", "max_sweeps", "max_iter", "opt_tol",
+             "newton_tol", "newton_max"}
     solvers = {"segdict.sparse_coder", "segdict.dict_learner",
-               "segdict.classifier"}
+               "segdict.classifier", "segdict.baselines",
+               "segdict.evaluation"}
     taken = []
     for name in segdict.__all__:
         value = getattr(segdict, name)

@@ -1,5 +1,7 @@
 """VQ codebook and FFT feature tests."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from segdict.baselines import (VqCodebook, VqCodeMatrix, _sq_dists,
                                assign_codes, fft_features, kmeans_train,
                                one_hot_codes, vq_encode)
 from segdict.beat_model import BeatMatrix, SegmentSpec
-from segdict.errors import InsufficientDataError
+from segdict.errors import ConvergenceWarning, InsufficientDataError
 
 from oracles import kmeans_exhaustive, naive_dft_magnitudes, nearest_center_scan
 
@@ -60,6 +62,21 @@ def test_kmeans_deterministic():
     a = kmeans_train(segments, 4, seeding="kmeanspp", seed=5)
     b = kmeans_train(segments, 4, seeding="kmeanspp", seed=5)
     assert np.array_equal(a.centers, b.centers)
+
+
+def test_kmeans_warns_once_when_lloyd_hits_its_cap(monkeypatch):
+    segments = np.random.default_rng(7).normal(size=(4, 60))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        settled = kmeans_train(segments, 5, "random", 0, segment_index=3)
+    assert len(settled.distortions) < baselines._LLOYD_MAX
+    monkeypatch.setattr(baselines, "_LLOYD_MAX", 1)
+    with pytest.warns(ConvergenceWarning) as caught:
+        capped = kmeans_train(segments, 5, "random", 0, segment_index=3)
+    assert [str(w.message) for w in caught] == [
+        "segment 3: k-means took 1 Lloyd passes without its assignments "
+        "settling"]
+    assert capped.distortions == settled.distortions[:1]
 
 
 def test_kmeans_insufficient_points():

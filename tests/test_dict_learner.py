@@ -18,8 +18,6 @@ from segdict.synthetic import generate_planted_dataset
 from oracles import (constrained_lsq_pg, lagrangian_min_gd,
                      lasso_kkt_violation)
 
-TIGHT = TrainConfig(k=2, lam=0.1, newton_tol=1e-10, newton_max=200)
-
 
 def test_init_atoms_unit_norms_and_determinism():
     rng = np.random.default_rng(0)
@@ -56,7 +54,7 @@ def test_dual_objective_matches_lagrangian_min():
     rng = np.random.default_rng(3)
     X = rng.normal(size=(3, 5))
     Y = rng.normal(size=(4, 5))
-    r = lagrange_dual_update(X, Y, TrainConfig(k=3))[1].r_history[0]
+    r = lagrange_dual_update(X, Y)[1].r_history[0]
     oracle = lagrangian_min_gd(Y, X, np.ones(3))
     assert r == pytest.approx(oracle, abs=1e-5)
 
@@ -65,8 +63,7 @@ def test_dual_update_identity_codes_recovers_data():
     rng = np.random.default_rng(4)
     Y = rng.normal(size=(6, 4))
     Y /= np.linalg.norm(Y, axis=0)
-    cfg = TrainConfig(k=4, lam=0.1, newton_tol=1e-12, newton_max=200)
-    D, _ = lagrange_dual_update(np.eye(4), Y, cfg)
+    D, _ = lagrange_dual_update(np.eye(4), Y)
     assert np.linalg.norm(Y - D.atoms) < 1e-6
 
 
@@ -80,8 +77,7 @@ def test_dual_update_beats_previous_dictionary():
             continue
         prev = rng.normal(size=(d, k))
         prev /= np.maximum(np.linalg.norm(prev, axis=0), 1.0)
-        cfg = TrainConfig(k=k, lam=0.1, newton_tol=1e-12, newton_max=300)
-        D, _ = lagrange_dual_update(X, Y, cfg)
+        D, _ = lagrange_dual_update(X, Y)
         new_obj = np.sum((Y - D.atoms @ X) ** 2)
         old_obj = np.sum((Y - prev @ X) ** 2)
         assert new_obj <= old_obj + 1e-9
@@ -91,8 +87,7 @@ def test_dual_update_matches_projected_gradient_oracle():
     rng = np.random.default_rng(6)
     Y = rng.normal(size=(2, 4))
     X = rng.normal(size=(2, 4))
-    cfg = TrainConfig(k=2, lam=0.1, newton_tol=1e-12, newton_max=300)
-    D, _ = lagrange_dual_update(X, Y, cfg)
+    D, _ = lagrange_dual_update(X, Y)
     _, oracle_obj = constrained_lsq_pg(Y, X)
     ours = float(np.sum((Y - D.atoms @ X) ** 2))
     assert ours <= oracle_obj + 1e-4
@@ -107,8 +102,7 @@ def test_dual_update_stationarity_and_feasibility():
         Y = rng.normal(size=(d, n))
         X = rng.normal(size=(k, n)) * (rng.random(size=(k, n)) < 0.5)
         X[0] += rng.normal(size=n) * 0.1  # keep at least one row nonzero
-        cfg = TrainConfig(k=k, lam=0.1, newton_tol=1e-12, newton_max=300)
-        D, dual = lagrange_dual_update(X, Y, cfg)
+        D, dual = lagrange_dual_update(X, Y)
         atoms = D.atoms
         norms = np.linalg.norm(atoms, axis=0)
         assert np.all(norms <= 1.0 + 1e-6)
@@ -127,8 +121,7 @@ def test_dual_update_refreshes_unused_atoms():
     Y = rng.normal(size=(4, 6))
     X = np.zeros((3, 6))
     X[0] = rng.normal(size=6)  # atoms 1 and 2 unused
-    cfg = TrainConfig(k=3, lam=0.1)
-    D, dual = lagrange_dual_update(X, Y, cfg)
+    D, dual = lagrange_dual_update(X, Y)
     norms = np.linalg.norm(D.atoms, axis=0)
     assert np.allclose(norms[1:], 1.0, atol=1e-12)  # refreshed from data
     assert dual.lam[1] == 0.0 and dual.lam[2] == 0.0
@@ -136,14 +129,12 @@ def test_dual_update_refreshes_unused_atoms():
 
 def test_dual_update_requires_a_used_atom():
     with pytest.raises(InsufficientDataError):
-        lagrange_dual_update(np.zeros((2, 3)), np.ones((2, 3)), TIGHT)
+        lagrange_dual_update(np.zeros((2, 3)), np.ones((2, 3)))
 
 
-def test_train_config_rejects_a_nan_lambda_or_newton_tol():
+def test_train_config_rejects_a_nan_lambda():
     with pytest.raises(ValueError, match="lam must be positive, got nan"):
         TrainConfig(lam=float("nan"))
-    with pytest.raises(ValueError, match="newton_tol=nan"):
-        TrainConfig(newton_tol=float("nan"))
 
 
 def test_dual_state_rejects_negative():
@@ -153,14 +144,14 @@ def test_dual_state_rejects_negative():
 
 
 def guard_fixture():
-    """Codes and data on which Newton, stopped by a loose step tolerance,
-    leaves atom 1 over unit norm (by 4e-8 in squared norm); row 0 of the
-    codes is unused."""
+    """Codes and data on which Newton, stopped by a loose step tolerance
+    (_NEWTON_TOL = 1e-2), leaves atom 1 over unit norm (by 4e-8 in squared
+    norm); row 0 of the codes is unused."""
     rng = np.random.default_rng(5)
     Y = rng.normal(size=(5, 10))
     X = rng.normal(size=(4, 10))
     X[0] = 0.0
-    return X, Y, TrainConfig(k=4, lam=0.1, newton_tol=1e-2)
+    return X, Y
 
 
 def unit_norm_root(X, Y, lam, w):
@@ -183,7 +174,8 @@ def unit_norm_root(X, Y, lam, w):
 
 
 def test_feasibility_guard_takes_the_exact_unit_norm_step(monkeypatch):
-    X, Y, cfg = guard_fixture()
+    X, Y = guard_fixture()
+    monkeypatch.setattr(dict_learner, "_NEWTON_TOL", 1e-2)
     factorizations = []
     real_solve = dict_learner._inverse_factor
 
@@ -194,13 +186,13 @@ def test_feasibility_guard_takes_the_exact_unit_norm_step(monkeypatch):
     monkeypatch.setattr(dict_learner, "_inverse_factor", counting_solve)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        D, dual = lagrange_dual_update(X, Y, cfg)
+        D, dual = lagrange_dual_update(X, Y)
     guarded = len(factorizations)
     # the same Newton run with the guard switched off
     monkeypatch.setattr(dict_learner, "_GUARD_ROUNDS", 0)
     factorizations.clear()
     with pytest.warns(ConvergenceWarning, match="feasibility guard"):
-        D_newton, newton = lagrange_dual_update(X, Y, cfg)
+        D_newton, newton = lagrange_dual_update(X, Y)
     assert dual.r_history == newton.r_history
     assert np.sum(D_newton.atoms ** 2, axis=0).max() > 1.0 + 1e-9
     assert np.all(np.sum(D.atoms ** 2, axis=0) <= 1.0 + 1e-9)
@@ -213,18 +205,20 @@ def test_feasibility_guard_takes_the_exact_unit_norm_step(monkeypatch):
 
 
 def test_newton_cap_and_exhausted_guard_warn_naming_the_cause(monkeypatch):
-    X, Y, cfg = guard_fixture()
-    capped = TrainConfig(k=4, lam=0.1, newton_max=1)
+    X, Y = guard_fixture()
+    monkeypatch.setattr(dict_learner, "_NEWTON_MAX", 1)
     with pytest.warns(ConvergenceWarning) as caught:
-        _, dual = lagrange_dual_update(X, Y, capped, segment_index=3)
+        _, dual = lagrange_dual_update(X, Y, segment_index=3)
     assert len(dual.r_history) == 2
     assert [str(w.message) for w in caught] == [
-        "segment 3: Newton's method took newton_max=1 steps without its "
-        "relative step falling below newton_tol=1e-06"]
+        "segment 3: Newton's method took 1 steps without its relative step "
+        "falling below 1e-06"]
 
+    monkeypatch.undo()
+    monkeypatch.setattr(dict_learner, "_NEWTON_TOL", 1e-2)
     monkeypatch.setattr(dict_learner, "_GUARD_ROUNDS", 0)
     with pytest.warns(ConvergenceWarning) as caught:
-        D, dual = lagrange_dual_update(X, Y, cfg, segment_index=2)
+        D, dual = lagrange_dual_update(X, Y, segment_index=2)
     norm = np.linalg.norm(D.atoms[:, 1])
     assert len(caught) == 1
     assert str(caught[0].message) == (
@@ -266,8 +260,7 @@ def test_planted_model_recovery():
 def test_alternation_objective_non_increasing():
     rng = np.random.default_rng(10)
     beats, spec = planted_beats(rng, noise=0.1)
-    cfg = TrainConfig(k=4, lam=0.05, outer_iters=12, seed=1,
-                      newton_tol=1e-10, newton_max=200)
+    cfg = TrainConfig(k=4, lam=0.05, outer_iters=12, seed=1)
     history = {1: [], 2: []}
     train_segment_dictionaries(beats, spec, cfg, np.arange(beats.count),
                                log_fn=lambda j, t, obj: history[j].append(obj))
@@ -282,8 +275,7 @@ def test_trained_used_atoms_have_unit_norm():
 
     rng = np.random.default_rng(21)
     beats, spec = planted_beats(rng, noise=0.1)
-    cfg = TrainConfig(k=4, lam=0.05, outer_iters=30, seed=21,
-                      newton_tol=1e-10, newton_max=200)
+    cfg = TrainConfig(k=4, lam=0.05, outer_iters=30, seed=21)
     dicts = train_segment_dictionaries(beats, spec, cfg, np.arange(beats.count))
     for j, dictionary in enumerate(dicts, start=1):
         codes = batch_encode(dictionary.atoms, segment_view(beats, spec, j),

@@ -143,6 +143,25 @@ def test_load_svm_names_the_row_where_a_cut_file_ends(tmp_path):
         serialize.load_svm(path)
 
 
+@pytest.mark.parametrize("first,second", [
+    ("nan", "2.7"), ("-1", "2"), ("3", "3"), ("5", "2"), ("inf", "9"),
+    ("1e300", "1e301"),
+], ids=["nan", "negative", "repeated", "decreasing", "inf", "past_2**53"])
+def test_load_svm_rejects_bad_support_vector_indices(tmp_path, first, second):
+    path = tmp_path / "svm.txt"
+    lines = binary_svm_lines(path)
+    row = next(i for i, line in enumerate(lines)
+               if line.endswith(" sv_indices_0")) + 1
+    values = lines[row].split()
+    values[:2] = first, second
+    lines[row] = " ".join(values)
+    write_lines(path, lines)
+    with pytest.raises(ParseError, match=(
+            f"^row {row + 1}: support-vector indices must be distinct "
+            f"non-negative integers in increasing order$")):
+        serialize.load_svm(path)
+
+
 def test_load_svm_names_the_classes_row_when_machines_are_missing(tmp_path):
     path = tmp_path / "svm.txt"
     lines = binary_svm_lines(path)
