@@ -328,7 +328,8 @@ def _stratified_folds(labels: np.ndarray, folds: int,
         idx = np.flatnonzero(labels == cls)
         if idx.size < folds:
             raise InsufficientDataError(
-                f"class {cls!r} has {idx.size} samples for {folds} folds")
+                f"class {str(cls)!r} has {idx.size} samples for {folds} "
+                "folds")
         idx = rng.permutation(idx)
         for f in range(folds):
             assign[idx[f::folds]] = f

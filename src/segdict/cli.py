@@ -272,6 +272,8 @@ def cmd_train_svm(args) -> int:
                               SplitPlan(cfg.train_counts, cfg.seed))
     else:
         train_idx = np.arange(labels.size)
+    # the model file could not hold such a class: fail before the search
+    _stage("train-svm", serialize._check_labels, np.unique(labels[train_idx]))
     c_penalty, gamma = _stage("train-svm", grid_search_cv,
                               codes.codes[:, train_idx], labels[train_idx],
                               cfg.c_grid, cfg.gamma_grid, cfg.folds, cfg.seed)

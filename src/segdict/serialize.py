@@ -127,10 +127,15 @@ def load_labels(path) -> list[str]:
         return [line.strip() for line in fh if line.strip()]
 
 
-def save_svm(path, model: MultiClassSvm) -> None:
-    for c in model.classes:
+def _check_labels(labels) -> None:
+    """Labels are written whitespace-separated, so none may hold any."""
+    for c in labels:
         if any(ch.isspace() for ch in c):
             raise ValueError(f"label {str(c)!r} contains whitespace")
+
+
+def save_svm(path, model: MultiClassSvm) -> None:
+    _check_labels(model.classes)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("classes " + " ".join(model.classes) + "\n")
         for i, m in enumerate(model.machines):

@@ -12,21 +12,34 @@ optimality conditions
 
 where grad = D^T (D x - y) and _OPT_TOL = 1e-7; lam is the only control.
 
-One core solves every column.  batch_encode takes the columns in fixed
-blocks of _BLOCK and runs feature-sign search on a block in lockstep: each
-round applies the next step of the method to every unfinished column of
-the block at once.  The gram D^T D is formed once per call, the
-sign-constrained systems of a round are one stack of k x k systems with
-identity rows on the inactive coordinates, and all line-search candidates
-of the block are scored together.  Every per-column product is its own
-item of a stacked ``np.matmul`` or of a batched ``np.linalg`` call, never
-one product over the block, so a column's code is bit for bit the same
-whichever columns share its block; feature_sign_solve is the one-column
-case.  An active set whose factorization fails, or whose pivots spread
-more than _PIVOT_RTOL apart, is factored once more with a small ridge on
-its active diagonal, in the same stack.  A column that stalls (its line
-search cannot decrease the objective) or takes _MAX_STEPS steps keeps its
-last iterate, and each call warns once per kind of stop with the number of
+One core solves every column.  The gram G = D^T D is formed once per
+call.  When G is positive definite (its smallest eigenvalue above
+_PIVOT_RTOL times its largest), the optimum is unique, and a guess-and-
+verify pass goes first: per block of _BLOCK columns, _GUESS_STEPS FISTA
+steps from 0 (of size 1 / the largest eigenvalue) guess each column's
+support and signs, and the sign-constrained system on them is solved
+once.  A column whose solve factors without a ridge, keeps the guessed
+signs and meets the optimality conditions above is settled, and that
+solve is its code.  Feature-sign search ends on the same code, since its
+full step is that same exact solve, unless it stops on a sign crossing
+that already meets the conditions.  Every other column (every column,
+when G is singular or nearly so, so that ties keep their lowest-index
+rule) goes to feature-sign search, gathered into blocks of _BLOCK.
+
+Feature-sign search runs on a block in lockstep: each round applies the
+next step of the method to every unfinished column of the block at once.
+The sign-constrained systems of a round are one stack of k x k systems
+with identity rows on the inactive coordinates, and all line-search
+candidates of the block are scored together.  Every per-column product,
+in the guess and in the search, is its own item of a stacked
+``np.matmul`` or of a batched ``np.linalg`` call, never one product over
+the block, so a column's code is bit for bit the same whichever columns
+share its block; feature_sign_solve is the one-column case.  An active
+set whose factorization fails, or whose pivots spread more than
+_PIVOT_RTOL apart, is factored once more with a small ridge on its active
+diagonal, in the same stack.  A column that stalls (its line search
+cannot decrease the objective) or takes _MAX_STEPS steps keeps its last
+iterate, and each call warns once per kind of stop with the number of
 such columns and the first one.
 """
 
@@ -44,6 +57,7 @@ _MAX_STEPS = 1000            # feature-sign steps per column
 _PIVOT_RTOL = 1e-12
 _RIDGE_SCALE = 1e-10
 _BLOCK = 256                 # columns solved in lockstep; bounds the temporaries
+_GUESS_STEPS = 30            # FISTA steps that guess a column's support
 _CONVERGED, _STALLED, _MAX_ITER = range(3)
 
 
@@ -85,15 +99,26 @@ def batch_encode(D, Y, lam: float) -> np.ndarray:
 
 
 def _encode(D: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve every column in blocks of _BLOCK; warn once per bad outcome."""
+    """Settle what columns the guess can, solve the rest in blocks of
+    _BLOCK; warn once per bad outcome."""
     n = Y.shape[1]
     G = D.T @ D
     X = np.empty((D.shape[1], n))
-    outcome = np.empty(n, dtype=int)
-    for start in range(0, n, _BLOCK):
-        cols = slice(start, min(start + _BLOCK, n))
-        X[:, cols], outcome[cols] = _solve_block(D, G, Y[:, cols], lam,
-                                                 start)
+    outcome = np.full(n, _CONVERGED)
+    rest = np.arange(n)
+    ev = np.linalg.eigvalsh(G)
+    if ev[0] > _PIVOT_RTOL * ev[-1]:
+        # positive definite: the optimum is unique, so a verified guess has
+        # its support and signs
+        missed = []
+        for start in range(0, n, _BLOCK):
+            cols = slice(start, min(start + _BLOCK, n))
+            X[:, cols], ok = _guess_block(D, G, Y[:, cols], lam, 1.0 / ev[-1])
+            missed.append(start + np.flatnonzero(~ok))
+        rest = np.concatenate(missed)
+    for start in range(0, rest.size, _BLOCK):
+        cols = rest[start:start + _BLOCK]
+        X[:, cols], outcome[cols] = _solve_block(D, G, Y[:, cols], lam, cols)
     for kind, what in (
             (_STALLED, "stalled (the line search could not decrease the "
                        "objective)"),
@@ -106,9 +131,58 @@ def _encode(D: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     return X
 
 
+def _products(D: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per column of Y, as rows: D^T y and y^T y."""
+    Yr = np.ascontiguousarray(Y.T)
+    Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
+    yty = np.matmul(Yr[:, None, :], Yr[:, :, None])[:, 0, 0]
+    return Dty, yty
+
+
+def _optimal(G: np.ndarray, x: np.ndarray, Dty: np.ndarray, lam: float
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Per row: the gradient, whether the nonzeros meet their optimality
+    condition, the violation of each zero coordinate (-1 on nonzeros), and
+    whether the row is optimal."""
+    active = x != 0.0
+    grad = np.matmul(x[:, None, :], G)[:, 0, :] - Dty
+    settled = np.all(~active | (np.abs(grad + lam * np.sign(x)) <= _OPT_TOL),
+                     axis=1)
+    viol = np.where(active, -1.0, np.abs(grad))
+    return grad, settled, viol, settled & (viol.max(axis=1) <= lam + _OPT_TOL)
+
+
+def _guess_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
+                 step: float) -> tuple[np.ndarray, np.ndarray]:
+    """Guess each column's support and signs with _GUESS_STEPS FISTA steps
+    of size `step` from 0, then solve the sign-constrained system on them
+    once.  Returns the k x m solves and, per column, whether its solve is
+    verified: the factor passes _factor's test without a ridge, the solve
+    keeps the guessed signs, and it meets the optimality conditions."""
+    Dty, _ = _products(D, Y)
+    x = z = np.zeros_like(Dty)
+    t = 1.0
+    for _ in range(_GUESS_STEPS):
+        u = z - step * (np.matmul(z[:, None, :], G)[:, 0, :] - Dty)
+        x_next = np.sign(u) * np.maximum(np.abs(u) - step * lam, 0.0)
+        t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x_next + ((t - 1.0) / t_next) * (x_next - x)
+        x, t = x_next, t_next
+    theta = np.sign(x)
+    active = theta != 0.0
+    pair = active[:, :, None] & active[:, None, :]
+    L, ok = _factor(np.where(pair, G, np.eye(G.shape[0])), active)
+    b = np.where(active, Dty - lam * theta, 0.0)
+    x = np.where(active, _cholesky_solve(L, b), 0.0)
+    ok &= np.all(np.sign(x) == theta, axis=1)
+    ok &= _optimal(G, x, Dty, lam)[3]
+    return x.T, ok
+
+
 def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
-                 first: int) -> tuple[np.ndarray, np.ndarray]:
-    """Feature-sign search in lockstep on the columns of Y.
+                 cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-sign search in lockstep on the columns of Y, whose indices
+    in the caller's input are `cols`.
 
     Arrays hold one row per column.  Each round takes every unfinished
     column through one step of the single-column method; columns that meet
@@ -116,26 +190,20 @@ def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
     objective, leave the round set.  Returns the k x m codes and each
     column's outcome.
     """
-    Yr = np.ascontiguousarray(Y.T)
-    m, k = Yr.shape[0], G.shape[0]
-    Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
-    yty = np.matmul(Yr[:, None, :], Yr[:, :, None])[:, 0, 0]
+    Dty, yty = _products(D, Y)
+    m, k = Dty.shape
     X = np.zeros((m, k))
     cur = 0.5 * yty
     outcome = np.full(m, _MAX_ITER)
     todo = np.arange(m)
     for _ in range(_MAX_STEPS):
         x = X[todo]
+        grad, settled, viol, done = _optimal(G, x, Dty[todo], lam)
         active = x != 0.0
         theta = np.sign(x)
-        grad = np.matmul(x[:, None, :], G)[:, 0, :] - Dty[todo]
         # once the active set is optimal, activate the worst violator with
         # its sign set against the gradient; ties go to the lowest index
         # (argmax returns the first maximum)
-        settled = np.all(~active | (np.abs(grad + lam * theta) <= _OPT_TOL),
-                         axis=1)
-        viol = np.where(active, -1.0, np.abs(grad))
-        done = settled & (viol.max(axis=1) <= lam + _OPT_TOL)
         add = np.flatnonzero(settled & ~done)
         mu = np.argmax(viol[add], axis=1)
         active[add, mu] = True
@@ -146,7 +214,7 @@ def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
         if todo.size == 0:
             break
         x_new = _solve_active_sets(G, active, Dty[todo] - lam * theta,
-                                   first + todo)
+                                   cols[todo])
         best, obj = _line_search(G, x, x_new, Dty[todo], yty[todo], lam)
         # stalled: no candidate decreases the objective at this tolerance
         stalled = obj > cur[todo] + 1e-12 * np.maximum(1.0, np.abs(cur[todo]))
@@ -240,7 +308,7 @@ def _line_search(G: np.ndarray, x: np.ndarray, x_new: np.ndarray,
     T = np.concatenate([np.ones((s, 1)), np.where(crossing, t, 0.0)], axis=1)
     P = T[:, :, None] * delta[:, None, :]
     P += x[:, None, :]
-    P[:, 0][x_new == 0.0] = 0.0        # the full step keeps exact zeros
+    P[:, 0] = x_new                    # the exact solve, not x + delta
     idx = np.arange(k)
     P[:, 1 + idx, idx] = 0.0           # a crossing lands on zero
     PG = np.matmul(P, G)

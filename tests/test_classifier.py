@@ -471,3 +471,10 @@ def test_grid_search_needs_enough_samples_per_fold():
     X = np.ones((1, 3))
     with pytest.raises(InsufficientDataError):
         grid_search_cv(X, ["a", "a", "b"], [1.0], [1.0], folds=2)
+
+
+def test_too_few_samples_names_the_class_as_written():
+    X = np.random.default_rng(0).normal(size=(3, 7))
+    with pytest.raises(InsufficientDataError) as err:
+        grid_search_cv(X, ["a"] * 6 + ["b"], [1.0], [0.5], 3, 0)
+    assert str(err.value) == "class 'b' has 1 samples for 3 folds"

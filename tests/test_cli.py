@@ -251,10 +251,16 @@ def test_cli_surfaces_stage_errors_with_nonzero_exit(tmp_path, capsys):
     assert "stage 'ingest'" in err
 
 
-def test_train_svm_names_a_label_with_whitespace(tmp_path, capsys):
+def test_train_svm_names_a_label_with_whitespace(tmp_path, capsys,
+                                                 monkeypatch):
+    from segdict import cli
     from segdict.beat_model import SparseCodeMatrix
     from segdict.serialize import save_codes, save_labels
 
+    def no_search(*args):
+        raise AssertionError("the grid search ran before the label check")
+
+    monkeypatch.setattr(cli, "grid_search_cv", no_search)
     rng = np.random.default_rng(0)
     codes = np.hstack([rng.normal(size=(4, 6)) - 2.0,
                        rng.normal(size=(4, 6)) + 2.0])

@@ -159,6 +159,69 @@ def test_batch_across_blocks_equals_single_solves():
         assert np.array_equal(X[:, i], feature_sign_solve(D, Y[:, i], lam))
 
 
+def planted_columns(seed, nnz, coherence, d=50, k=16,
+                    n=2 * sparse_coder._BLOCK + 40):
+    # unit atoms leaning `coherence` toward one shared direction; each
+    # column mixes nnz of them with signed weights of magnitude 0.5 to 1.5,
+    # plus noise
+    rng = np.random.default_rng(seed)
+    D = coherence * rng.normal(size=(d, 1)) / np.sqrt(d)
+    D = D + rng.normal(size=(d, k)) / np.sqrt(d)
+    D /= np.linalg.norm(D, axis=0)
+    X = np.zeros((k, n))
+    for i in range(n):
+        X[rng.choice(k, nnz, replace=False), i] = (
+            rng.uniform(0.5, 1.5, nnz) * rng.choice([-1.0, 1.0], nnz))
+    return D, D @ X + 0.05 * rng.normal(size=(d, n))
+
+
+def test_guess_gives_the_loops_codes(monkeypatch):
+    # a settled guess is the exact solve on its support and signs, and so
+    # is the loop's last full step; coherent atoms make the loop's last
+    # step long enough that x + (x_new - x) can round away from x_new
+    D, Y = planted_columns(23, 8, 2.0)
+    X = batch_encode(D, Y, 0.1)
+    monkeypatch.setattr(sparse_coder, "_GUESS_STEPS", 0)
+    assert np.array_equal(batch_encode(D, Y, 0.1), X)
+
+
+def test_guess_settles_most_columns(monkeypatch):
+    D, Y = planted_columns(1, 3, 0.0)
+    looped = []
+    solve = sparse_coder._solve_block
+
+    def spy(D, G, Y, lam, cols):
+        looped.extend(cols)
+        return solve(D, G, Y, lam, cols)
+
+    monkeypatch.setattr(sparse_coder, "_solve_block", spy)
+    X = batch_encode(D, Y, 0.1)
+    assert len(looped) < 0.1 * Y.shape[1]
+    for i in range(0, Y.shape[1], 37):
+        assert lasso_kkt_violation(D, Y[:, i], X[:, i], 0.1) <= 1e-6
+
+
+def test_singular_gram_skips_the_guess(monkeypatch):
+    # with more atoms than rows the lasso optimum need not be unique, so
+    # every column takes the loop and its lowest-index tie-break
+    guessed = []
+    guess = sparse_coder._guess_block
+
+    def spy(*args):
+        guessed.append(args)
+        return guess(*args)
+
+    monkeypatch.setattr(sparse_coder, "_guess_block", spy)
+    rng = np.random.default_rng(6)
+    D, _ = random_instance(rng, 4, 7)
+    Y = rng.normal(size=(4, 30))
+    X = batch_encode(D, Y, 0.1)
+    for i in range(30):
+        assert lasso_kkt_violation(D, Y[:, i], X[:, i], 0.1) <= 1e-6
+    test_activation_tie_breaks_to_lowest_index()
+    assert guessed == []
+
+
 def test_rank_deficient_column_among_ordinary_columns(monkeypatch):
     # with a3 = 0.7*(a1 + a2) every three-atom active set is singular;
     # columns 7 and 12, mirror images, reach one in the same round, so both
