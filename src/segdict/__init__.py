@@ -20,7 +20,7 @@ from .evaluation import (EvalReport, FftFeatures, SparseDictFeatures,
                          stratified_split, wilcoxon_rank_sum)
 from .ingest import (RawBeatRecord, build_beat_matrix, load_dataset,
                      normalize_beat, resample_beat)
-from .sparse_coder import batch_encode, coding_objective, feature_sign_solve
+from .sparse_coder import batch_encode, coding_objective
 from .synthetic import generate_planted_dataset, write_beats_csv
 
 __version__ = "0.1.0"
@@ -39,6 +39,6 @@ __all__ = [
     "wilcoxon_rank_sum",
     "RawBeatRecord", "build_beat_matrix", "load_dataset", "normalize_beat",
     "resample_beat",
-    "batch_encode", "coding_objective", "feature_sign_solve",
+    "batch_encode", "coding_objective",
     "generate_planted_dataset", "write_beats_csv",
 ]

@@ -68,30 +68,36 @@ class BeatMatrix:
 
 @dataclass(frozen=True)
 class SegmentSpec:
-    """Partition of [0, gamma) into J windows of equal length.
+    """Partition of [0, gamma) into J windows of equal length, given by
+    their (start, end) boundaries; J and the length follow from them.
 
     The default partition (``SegmentSpec.equal``) is contiguous and
     non-overlapping; custom boundaries may overlap but must all have the
     same length so per-segment dictionaries share one atom size.
     """
 
-    j_count: int
-    seg_len: int
     gamma: int
     boundaries: tuple[tuple[int, int], ...]
 
     def __post_init__(self):
         object.__setattr__(self, "boundaries",
                            tuple((int(s), int(e)) for s, e in self.boundaries))
-        if self.j_count < 1:
-            raise ShapeMismatchError("j_count must be >= 1")
-        if len(self.boundaries) != self.j_count:
-            raise ShapeMismatchError("boundary count must equal j_count")
+        if not self.boundaries:
+            raise ShapeMismatchError("at least one segment is required")
         for s, e in self.boundaries:
             if not (0 <= s < e <= self.gamma):
                 raise ShapeMismatchError(f"boundary ({s},{e}) outside [0,{self.gamma})")
             if e - s != self.seg_len:
-                raise ShapeMismatchError("all segments must have length seg_len")
+                raise ShapeMismatchError("all segments must have one length")
+
+    @property
+    def j_count(self) -> int:
+        return len(self.boundaries)
+
+    @property
+    def seg_len(self) -> int:
+        start, end = self.boundaries[0]
+        return end - start
 
     @classmethod
     def equal(cls, gamma: int, j_count: int) -> "SegmentSpec":
@@ -99,8 +105,7 @@ class SegmentSpec:
             raise ShapeMismatchError(
                 f"gamma={gamma} is not divisible by j_count={j_count}")
         d = gamma // j_count
-        bounds = tuple((j * d, (j + 1) * d) for j in range(j_count))
-        return cls(j_count, d, gamma, bounds)
+        return cls(gamma, tuple((j * d, (j + 1) * d) for j in range(j_count)))
 
 
 def segment_view(beats: BeatMatrix, spec: SegmentSpec, j: int) -> np.ndarray:

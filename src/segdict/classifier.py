@@ -198,10 +198,10 @@ def _smo_batch(K, idx, y, C, gamma, pairs, on_step=None):
     return alpha, np.where(count > 0, mean, 0.5 * (lo + hi)), converged
 
 
-def _train(X, idx, y, C, gamma, pairs, on_step=None) -> list[TrainedSvm]:
+def _train(X, idx, y, C, gamma, pairs) -> list[TrainedSvm]:
     """One batch on the columns of X; sv_indices count within a problem."""
     alpha, bias, ok = _smo_batch(rbf_gram(X, X, gamma), idx, y, C, gamma,
-                                 pairs, on_step)
+                                 pairs)
     svs = [np.flatnonzero(a > 0) for a in alpha]
     return [TrainedSvm(X[:, idx[p, sv]], alpha[p, sv] * y[p, sv],
                        float(bias[p]), float(gamma), float(C), pair, sv,
@@ -210,12 +210,10 @@ def _train(X, idx, y, C, gamma, pairs, on_step=None) -> list[TrainedSvm]:
 
 
 def smo_train(features, labels, c_penalty: float, gamma: float,
-              class_pair: tuple[str, str] = ("+1", "-1"),
-              on_step=None) -> TrainedSvm:
+              class_pair: tuple[str, str] = ("+1", "-1")) -> TrainedSvm:
     """Train one binary machine on +/-1 labels; samples are columns.
 
-    At most ``_MAX_SWEEPS * m`` pair updates are made on m samples;
-    ``on_step(alpha, bias)``, a debug hook, is called after each."""
+    At most ``_MAX_SWEEPS * m`` pair updates are made on m samples."""
     X = np.atleast_2d(np.asarray(features, dtype=float))
     y = np.asarray(labels, dtype=float).ravel()
     m = X.shape[1]
@@ -226,7 +224,7 @@ def smo_train(features, labels, c_penalty: float, gamma: float,
     if np.all(y == y[0]):
         raise SingleClassError("both classes must be present")
     return _train(X, np.arange(m)[None], y[None], c_penalty, gamma,
-                  [class_pair], on_step)[0]
+                  [class_pair])[0]
 
 
 @dataclass(frozen=True)
@@ -340,7 +338,8 @@ def _cv_correct(X, labels, classes, fold_of, c_values,
                 g_values) -> np.ndarray:
     """Held-out correct counts of every (C, gamma) cell.  The kernel is
     formed once per gamma, and one batch trains every C x fold x pair of
-    that gamma; problems leave the batch as they stop."""
+    that gamma; problems leave the batch as they stop.  One vote scores
+    every C of a fold."""
     folds = range(fold_of.max() + 1)
     pairs, idx, y = _pair_problems(labels, classes, [
         np.flatnonzero(fold_of != f) for f in folds])
@@ -357,11 +356,11 @@ def _cv_correct(X, labels, classes, fold_of, c_values,
             te = np.flatnonzero(fold_of == f)
             p = slice(f * len(pairs), (f + 1) * len(pairs))
             Kt = K[idx[p][..., None], te]       # shared by every C
-            for ci in range(nc):
-                F = np.einsum("ps,pst->pt", coef[ci, p], Kt)
-                F += bias[ci, p, None]
-                correct[ci, gi] += np.count_nonzero(
-                    _vote(F, pairs, classes) == labels[te])
+            F = np.einsum("cps,pst->pct", coef[:, p], Kt)
+            F += bias[:, p].T[:, :, None]
+            won = _vote(F.reshape(len(pairs), -1), pairs, classes)
+            correct[:, gi] += np.count_nonzero(
+                won.reshape(nc, -1) == labels[te], axis=1)
     return correct
 
 

@@ -22,7 +22,7 @@ from .dict_learner import TrainConfig, encode_beats, train_segment_dictionaries
 from .errors import ConfigError, SegdictError
 from .evaluation import (EvalReport, FftFeatures, SparseDictFeatures, SplitPlan,
                          VqFeatures, run_single, sample_subset,
-                         split_by_labels, stratified_split, wilcoxon_rank_sum)
+                         split_by_labels, wilcoxon_rank_sum)
 from .ingest import build_beat_matrix, load_dataset
 from . import serialize
 from .synthetic import generate_planted_dataset, write_beats_csv
@@ -163,6 +163,14 @@ def _config_from_args(args) -> RunConfig:
     return replace(cfg, **updates) if updates else cfg
 
 
+def _train_indices(cfg: RunConfig, labels) -> np.ndarray:
+    """The training beats: a seeded split by cfg.train_counts, else all."""
+    if not cfg.train_counts:
+        return np.arange(len(labels))
+    return _stage("split", split_by_labels, labels,
+                  SplitPlan(cfg.train_counts, cfg.seed))[0]
+
+
 def _make_method(name: str, cfg: RunConfig, seed: int, gamma: int):
     spec = SegmentSpec.equal(gamma, cfg.j_count)
     if name == "sparse":
@@ -214,11 +222,7 @@ def cmd_train_dict(args) -> int:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if cfg.train_counts:
-        train_idx, _ = _stage("split", stratified_split, beats,
-                              SplitPlan(cfg.train_counts, cfg.seed))
-    else:
-        train_idx = np.arange(beats.count)
+    train_idx = _train_indices(cfg, beats.labels)
     subset = train_idx[sample_subset(train_idx.size, cfg.subset_size, cfg.seed)]
 
     log_rows: list[list] = []
@@ -267,11 +271,7 @@ def cmd_train_svm(args) -> int:
     if labels.size != codes.count:
         raise StageError("train-svm",
                          ValueError("codes and labels files disagree on count"))
-    if cfg.train_counts:
-        train_idx, _ = _stage("split", split_by_labels, labels,
-                              SplitPlan(cfg.train_counts, cfg.seed))
-    else:
-        train_idx = np.arange(labels.size)
+    train_idx = _train_indices(cfg, labels)
     # the model file could not hold such a class: fail before the search
     _stage("train-svm", serialize._check_labels, np.unique(labels[train_idx]))
     c_penalty, gamma = _stage("train-svm", grid_search_cv,

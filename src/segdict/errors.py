@@ -25,10 +25,6 @@ class EmptyDatasetError(SegdictError, ValueError):
     """Dataset file contains no data rows."""
 
 
-class DegenerateBeatError(SegdictError, ValueError):
-    """Beat too short to resample."""
-
-
 class MixedChannelError(SegdictError, ValueError):
     """Records mix different channel counts."""
 

@@ -175,7 +175,6 @@ class SparseDictFeatures:
     """Learn segment dictionaries on the training beats, emit sparse codes."""
 
     def __init__(self, spec: SegmentSpec, cfg: TrainConfig):
-        self.name = "sparse"
         self.spec = spec
         self.cfg = cfg
         self.dictionaries: list | None = None
@@ -197,7 +196,6 @@ class VqFeatures:
 
     def __init__(self, spec: SegmentSpec, k: int, seeding: str = "random",
                  seed: int = 0, *, subset_size: int = 1000):
-        self.name = "kmeans" if seeding == "random" else "kmeanspp"
         self.spec = spec
         self.k = k
         self.seeding = seeding
@@ -224,7 +222,6 @@ class FftFeatures:
     """First-coefficient DFT magnitudes; nothing to fit."""
 
     def __init__(self, n_coeffs: int = 100):
-        self.name = "fft"
         self.n_coeffs = n_coeffs
 
     def fit(self, train_beats: BeatMatrix) -> None:

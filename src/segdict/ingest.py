@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .beat_model import BeatMatrix
-from .errors import (DegenerateBeatError, EmptyDatasetError, FlatBeatWarning,
-                     MixedChannelError, ParseError)
+from .errors import (EmptyDatasetError, FlatBeatWarning, MixedChannelError,
+                     ParseError)
 
 MIN_SAMPLES_PER_CHANNEL = 8
 _CHUNK = 256        # beats centred and normalized at once; bounds the temporaries
@@ -193,8 +193,6 @@ def _grid(n: int, target_len: int) -> tuple[np.ndarray, np.ndarray]:
     interpolated, and the n sample positions."""
     if target_len < 2:
         raise ValueError("target_len must be >= 2")
-    if n < 2:
-        raise DegenerateBeatError(f"channel 0 has {n} sample(s)")
     return np.linspace(0.0, n - 1.0, target_len), np.arange(n)
 
 

@@ -20,11 +20,15 @@ steps from 0 (of size 1 / the largest eigenvalue) guess each column's
 support and signs, and the sign-constrained system on them is solved
 once.  A column whose solve factors without a ridge, keeps the guessed
 signs and meets the optimality conditions above is settled, and that
-solve is its code.  Feature-sign search ends on the same code, since its
-full step is that same exact solve, unless it stops on a sign crossing
-that already meets the conditions.  Every other column (every column,
-when G is singular or nearly so, so that ties keep their lowest-index
-rule) goes to feature-sign search, gathered into blocks of _BLOCK.
+solve is its code.  Every other column (every column, when G is singular
+or nearly so, so that ties keep their lowest-index rule) goes to
+feature-sign search, gathered into blocks of _BLOCK.  The search, too,
+ends on the exact solve on its final support and signs: a column leaves
+as converged only from the zero start or a full step, and one that meets
+the conditions at a sign crossing is solved once more on its own support
+and signs.  So both paths give a column the same code, bit for bit,
+unless they stop on different supports that both meet the conditions
+within _OPT_TOL.
 
 Feature-sign search runs on a block in lockstep: each round applies the
 next step of the method to every unfinished column of the block at once.
@@ -34,10 +38,9 @@ candidates of the block are scored together.  Every per-column product,
 in the guess and in the search, is its own item of a stacked
 ``np.matmul`` or of a batched ``np.linalg`` call, never one product over
 the block, so a column's code is bit for bit the same whichever columns
-share its block; feature_sign_solve is the one-column case.  An active
-set whose factorization fails, or whose pivots spread more than
-_PIVOT_RTOL apart, is factored once more with a small ridge on its active
-diagonal, in the same stack.  A column that stalls (its line search
+share its block.  An active set whose factorization fails, or whose
+pivots spread more than _PIVOT_RTOL apart, is factored once more with a
+small ridge on its active diagonal, in the same stack.  A column that stalls (its line search
 cannot decrease the objective) or takes _MAX_STEPS steps keeps its last
 iterate, and each call warns once per kind of stop with the number of
 such columns and the first one.
@@ -82,18 +85,10 @@ def _validated(D, Y, lam) -> tuple[np.ndarray, np.ndarray]:
     return D, Y
 
 
-def feature_sign_solve(D, y, lam: float) -> np.ndarray:
-    """Solve one lasso instance; columns of D are the dictionary atoms.
-
-    This is batch_encode on a single column."""
-    y = np.asarray(y, dtype=float).ravel()
-    D, Y = _validated(D, y[:, None], lam)
-    return _encode(D, Y, lam)[:, 0]
-
-
 def batch_encode(D, Y, lam: float) -> np.ndarray:
-    """Encode every column of Y independently; column i of the result is
-    feature_sign_solve(D, Y[:, i], lam), bit for bit."""
+    """Encode every column of Y independently against the atoms (columns)
+    of D; column i of the result is batch_encode(D, Y[:, i:i+1], lam),
+    bit for bit."""
     D, Y = _validated(D, Y, lam)
     return _encode(D, Y, lam)
 
@@ -185,26 +180,30 @@ def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
     in the caller's input are `cols`.
 
     Arrays hold one row per column.  Each round takes every unfinished
-    column through one step of the single-column method; columns that meet
-    the optimality conditions, or whose line search cannot decrease the
-    objective, leave the round set.  Returns the k x m codes and each
-    column's outcome.
+    column through one step of the single-column method.  A column that
+    meets the optimality conditions leaves as converged if it stands at
+    the zero start or at a full step; at a sign crossing it is solved once
+    more on its own support and signs, so its code is that exact solve.
+    A column whose line search cannot decrease the objective leaves too.
+    Returns the k x m codes and each column's outcome.
     """
     Dty, yty = _products(D, Y)
     m, k = Dty.shape
     X = np.zeros((m, k))
     cur = 0.5 * yty
+    exact = np.ones(m, dtype=bool)     # at the zero start or a full step
     outcome = np.full(m, _MAX_ITER)
     todo = np.arange(m)
     for _ in range(_MAX_STEPS):
         x = X[todo]
-        grad, settled, viol, done = _optimal(G, x, Dty[todo], lam)
+        grad, settled, viol, opt = _optimal(G, x, Dty[todo], lam)
+        done = opt & exact[todo]
         active = x != 0.0
         theta = np.sign(x)
         # once the active set is optimal, activate the worst violator with
         # its sign set against the gradient; ties go to the lowest index
         # (argmax returns the first maximum)
-        add = np.flatnonzero(settled & ~done)
+        add = np.flatnonzero(settled & ~opt)
         mu = np.argmax(viol[add], axis=1)
         active[add, mu] = True
         theta[add, mu] = -np.sign(grad[add, mu])
@@ -215,13 +214,13 @@ def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
             break
         x_new = _solve_active_sets(G, active, Dty[todo] - lam * theta,
                                    cols[todo])
-        best, obj = _line_search(G, x, x_new, Dty[todo], yty[todo], lam)
+        best, obj, full = _line_search(G, x, x_new, Dty[todo], yty[todo], lam)
         # stalled: no candidate decreases the objective at this tolerance
         stalled = obj > cur[todo] + 1e-12 * np.maximum(1.0, np.abs(cur[todo]))
         outcome[todo[stalled]] = _STALLED
-        todo, best, obj = todo[~stalled], best[~stalled], obj[~stalled]
-        X[todo] = best
-        cur[todo] = obj
+        keep = ~stalled
+        todo = todo[keep]
+        X[todo], cur[todo], exact[todo] = best[keep], obj[keep], full[keep]
     return X.T, outcome
 
 
@@ -291,10 +290,10 @@ def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _line_search(G: np.ndarray, x: np.ndarray, x_new: np.ndarray,
                  Dty: np.ndarray, yty: np.ndarray, lam: float
-                 ) -> tuple[np.ndarray, np.ndarray]:
-    """Best point, and its objective, among the full step from x to x_new
-    and the sign crossings in (0, 1) on the way, taken in that order with
-    the first minimum winning.
+                 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Best point, its objective, and whether it is the full step, among
+    the full step from x to x_new and the sign crossings in (0, 1) on the
+    way, taken in that order with the first minimum winning.
 
     Every row gets k + 1 candidate slots, the unused ones scored +inf, so
     the arrays have the same shape whichever columns share the block.
@@ -319,7 +318,7 @@ def _line_search(G: np.ndarray, x: np.ndarray, x_new: np.ndarray,
     obj[:, 1:][~crossing] = np.inf
     rows = np.arange(s)
     pick = np.argmin(obj, axis=1)
-    return P[rows, pick], obj[rows, pick]
+    return P[rows, pick], obj[rows, pick], pick == 0
 
 
 def coding_objective(D, Y, X, lam: float) -> float:

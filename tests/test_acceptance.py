@@ -18,7 +18,7 @@ from segdict.dict_learner import (TrainConfig, lagrange_dual_update,
 from segdict.evaluation import (SparseDictFeatures, SplitPlan, VqFeatures,
                                 stratified_split, wilcoxon_rank_sum)
 from segdict.ingest import build_beat_matrix, load_dataset
-from segdict.sparse_coder import coding_objective, feature_sign_solve
+from segdict.sparse_coder import batch_encode, coding_objective
 from segdict.synthetic import generate_planted_dataset, write_beats_csv
 
 from oracles import (constrained_lsq_pg, kmeans_exhaustive, lasso_brute_force,
@@ -45,7 +45,7 @@ def test_criterion_01_feature_sign_optimality():
         D = rng.normal(size=(d, k))
         D /= np.linalg.norm(D, axis=0)
         y = rng.normal(size=d)
-        x = feature_sign_solve(D, y, lam)
+        x = batch_encode(D, y[:, None], lam)[:, 0]
         obj = coding_objective(D, y.reshape(-1, 1), x.reshape(-1, 1), lam)
         best, _ = lasso_brute_force(D, y, lam)
         ok &= lasso_kkt_violation(D, y, x, lam) <= 1e-6
@@ -63,8 +63,7 @@ def test_criterion_02_scalar_lasso_closed_form():
         d_val = float(rng.uniform(0.1, 3.0)) * (1 if rng.random() < 0.5 else -1)
         y_val = float(rng.normal() * 3.0)
         lam = float(rng.uniform(0.01, 2.0))
-        x = feature_sign_solve(np.array([[d_val]]), np.array([y_val]),
-                               lam)[0]
+        x = batch_encode(np.array([[d_val]]), np.array([[y_val]]), lam)[0, 0]
         dty = d_val * y_val
         expected = np.sign(dty) * max(abs(dty) - lam, 0.0) / (d_val * d_val)
         ok &= abs(x - expected) <= 1e-10

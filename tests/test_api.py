@@ -30,7 +30,7 @@ PUBLIC_NAMES = {
     "wilcoxon_rank_sum",
     "RawBeatRecord", "build_beat_matrix", "load_dataset", "normalize_beat",
     "resample_beat",
-    "batch_encode", "coding_objective", "feature_sign_solve",
+    "batch_encode", "coding_objective",
     "generate_planted_dataset", "write_beats_csv",
 }
 
@@ -64,7 +64,7 @@ def test_all_names_exactly_the_imported_public_attributes():
 
 def test_public_names_are_the_pinned_list():
     # a name leaves or joins the package surface only with this list
-    assert len(PUBLIC_NAMES) == 44
+    assert len(PUBLIC_NAMES) == 43
     assert set(segdict.__all__) == PUBLIC_NAMES
 
 
@@ -93,7 +93,7 @@ def test_no_solver_callable_takes_a_solver_knob():
     # feature-sign search, the dual Newton method, SMO and Lloyd's k-means
     # run at fixed tolerances and caps
     knobs = {"opts", "tol", "max_sweeps", "max_iter", "opt_tol",
-             "newton_tol", "newton_max"}
+             "newton_tol", "newton_max", "on_step"}
     solvers = {"segdict.sparse_coder", "segdict.dict_learner",
                "segdict.classifier", "segdict.baselines",
                "segdict.evaluation"}

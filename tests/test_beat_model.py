@@ -56,7 +56,7 @@ def test_segment_view_is_pure():
 
 
 def test_custom_boundaries_may_overlap():
-    spec = SegmentSpec(2, 4, 6, ((0, 4), (2, 6)))
+    spec = SegmentSpec(6, ((0, 4), (2, 6)))
     beats = beats_6x1()
     assert np.array_equal(segment_view(beats, spec, 2)[:, 0], [3.0, 4, 5, 6])
 

@@ -142,9 +142,9 @@ def test_dual_objective_non_increasing_across_pair_updates():
     K = rbf_gram(X, X, gamma)
     Q = K * np.outer(y, y)
     objectives = []
-    smo_train(X, y, C, gamma,
-              on_step=lambda a, b: objectives.append(
-                  0.5 * float(a @ (Q @ a)) - float(a.sum())))
+    _smo_batch(K, np.arange(16)[None], y[None], C, gamma, [("+1", "-1")],
+               on_step=lambda a, b: objectives.append(
+                   0.5 * float(a @ (Q @ a)) - float(a.sum())))
     assert len(objectives) > 1
     assert np.all(np.diff(np.array(objectives)) <= 1e-12)
 
@@ -161,7 +161,10 @@ def test_final_bias_treats_alpha_one_ulp_below_c_as_bound():
     y = np.array([-1.0, 1, -1, -1, 1, 1, 1, 1, 1, -1, 1, 1])
     C, tol = 0.3, 1e-3
     seen = []
-    m = smo_train(X, y, C, 0.0625, on_step=lambda alpha, b: seen.append(alpha))
+    _smo_batch(rbf_gram(X, X, 0.0625), np.arange(12)[None], y[None], C,
+               0.0625, [("+1", "-1")],
+               on_step=lambda alpha, b: seen.append(alpha))
+    m = smo_train(X, y, C, 0.0625)
     assert np.any(seen[-1] == np.nextafter(C, 0.0))
     assert m.converged
     assert svm_kkt_violations(m, X, y).max() <= tol
