@@ -101,6 +101,8 @@ class SegmentSpec:
 
     @classmethod
     def equal(cls, gamma: int, j_count: int) -> "SegmentSpec":
+        if j_count < 1:
+            raise ShapeMismatchError(f"j_count must be at least 1, got {j_count}")
         if gamma % j_count != 0:
             raise ShapeMismatchError(
                 f"gamma={gamma} is not divisible by j_count={j_count}")

@@ -205,13 +205,14 @@ def _write_csv(path, header: list[str], rows: list[list]) -> None:
 # commands
 
 def cmd_gen_synthetic(args) -> int:
-    labels, samples = generate_planted_dataset(
+    labels, samples = _stage(
+        "gen-synthetic", generate_planted_dataset,
         n_classes=args.classes, beats_per_class=args.beats_per_class,
         gamma=args.gamma, j_count=args.segments, k=args.atoms,
         noise=args.noise, spread=args.spread,
-        seed=args.seed if args.seed is not None else 0)
+        seed=args.seed)
     out = args.out or "synthetic.csv"
-    write_beats_csv(out, labels, samples)
+    _stage("gen-synthetic", write_beats_csv, out, labels, samples)
     print(f"wrote {len(labels)} beats to {out}")
     return 0
 

@@ -13,37 +13,32 @@ optimality conditions
 where grad = D^T (D x - y) and _OPT_TOL = 1e-7; lam is the only control.
 
 One core solves every column.  The gram G = D^T D is formed once per
-call.  When G is positive definite (its smallest eigenvalue above
-_PIVOT_RTOL times its largest), the optimum is unique, and a guess-and-
-verify pass goes first: per block of _BLOCK columns, _GUESS_STEPS FISTA
-steps from 0 (of size 1 / the largest eigenvalue) guess each column's
-support and signs, and the sign-constrained system on them is solved
-once.  A column whose solve factors without a ridge, keeps the guessed
-signs and meets the optimality conditions above is settled, and that
-solve is its code.  Every other column (every column, when G is singular
-or nearly so, so that ties keep their lowest-index rule) goes to
-feature-sign search, gathered into blocks of _BLOCK.  The search, too,
-ends on the exact solve on its final support and signs: a column leaves
-as converged only from the zero start or a full step, and one that meets
-the conditions at a sign crossing is solved once more on its own support
-and signs.  So both paths give a column the same code, bit for bit,
-unless they stop on different supports that both meet the conditions
-within _OPT_TOL.
+call, and it chooses one start point for every column.  When G is
+positive definite (its smallest eigenvalue above _PIVOT_RTOL times its
+largest), the optimum is unique, and feature-sign search starts from the
+iterate of _GUESS_STEPS FISTA steps from 0 (of size 1 / the largest
+eigenvalue); a column whose iterate has the optimum's support and signs
+is settled by its first round's solve.  Otherwise, so that ties keep their
+lowest-index rule, it starts from zero.  Either way the search ends on the
+exact solve on its final support and signs: a column leaves as converged
+only from zero or a full step, and one that meets the conditions anywhere
+else (a nonzero start or a sign crossing) is solved once more on its own
+support and signs.
 
 Feature-sign search runs on a block in lockstep: each round applies the
 next step of the method to every unfinished column of the block at once.
 The sign-constrained systems of a round are one stack of k x k systems
 with identity rows on the inactive coordinates, and all line-search
 candidates of the block are scored together.  Every per-column product,
-in the guess and in the search, is its own item of a stacked
-``np.matmul`` or of a batched ``np.linalg`` call, never one product over
-the block, so a column's code is bit for bit the same whichever columns
-share its block.  An active set whose factorization fails, or whose
-pivots spread more than _PIVOT_RTOL apart, is factored once more with a
-small ridge on its active diagonal, in the same stack.  A column that stalls (its line search
-cannot decrease the objective) or takes _MAX_STEPS steps keeps its last
-iterate, and each call warns once per kind of stop with the number of
-such columns and the first one.
+in FISTA and in the search, is its own item of a stacked ``np.matmul`` or
+of a batched ``np.linalg`` call, never one product over the block, so a
+column's code is bit for bit the same whichever columns share its block.
+An active set whose factorization fails, or whose pivots spread more than
+_PIVOT_RTOL apart, is factored once more with a small ridge on its active
+diagonal, in the same stack.  A column that stalls (its line search cannot
+decrease the objective) or takes _MAX_STEPS steps keeps its last iterate,
+and each call warns once per kind of stop with the number of such columns
+and the first one.
 """
 
 from __future__ import annotations
@@ -60,7 +55,7 @@ _MAX_STEPS = 1000            # feature-sign steps per column
 _PIVOT_RTOL = 1e-12
 _RIDGE_SCALE = 1e-10
 _BLOCK = 256                 # columns solved in lockstep; bounds the temporaries
-_GUESS_STEPS = 30            # FISTA steps that guess a column's support
+_GUESS_STEPS = 30            # FISTA steps to the start point
 _CONVERGED, _STALLED, _MAX_ITER = range(3)
 
 
@@ -94,26 +89,23 @@ def batch_encode(D, Y, lam: float) -> np.ndarray:
 
 
 def _encode(D: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
-    """Settle what columns the guess can, solve the rest in blocks of
-    _BLOCK; warn once per bad outcome."""
+    """Solve the columns in blocks of _BLOCK, each from FISTA's iterate when
+    the gram is positive definite and from zero otherwise; warn once per bad
+    outcome."""
     n = Y.shape[1]
     G = D.T @ D
     X = np.empty((D.shape[1], n))
-    outcome = np.full(n, _CONVERGED)
-    rest = np.arange(n)
+    outcome = np.empty(n, dtype=int)
     ev = np.linalg.eigvalsh(G)
-    if ev[0] > _PIVOT_RTOL * ev[-1]:
-        # positive definite: the optimum is unique, so a verified guess has
-        # its support and signs
-        missed = []
-        for start in range(0, n, _BLOCK):
-            cols = slice(start, min(start + _BLOCK, n))
-            X[:, cols], ok = _guess_block(D, G, Y[:, cols], lam, 1.0 / ev[-1])
-            missed.append(start + np.flatnonzero(~ok))
-        rest = np.concatenate(missed)
-    for start in range(0, rest.size, _BLOCK):
-        cols = rest[start:start + _BLOCK]
-        X[:, cols], outcome[cols] = _solve_block(D, G, Y[:, cols], lam, cols)
+    positive_definite = ev[0] > _PIVOT_RTOL * ev[-1]
+    for start in range(0, n, _BLOCK):
+        cols = np.arange(start, min(start + _BLOCK, n))
+        Yr = Y.T[cols]                 # one C-contiguous row per column
+        Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
+        yty = np.matmul(Yr[:, None, :], Yr[:, :, None])[:, 0, 0]
+        x0 = (_fista(G, Dty, lam, 1.0 / ev[-1]) if positive_definite
+              else np.zeros_like(Dty))
+        X[:, cols], outcome[cols] = _solve_block(G, Dty, yty, lam, cols, x0)
     for kind, what in (
             (_STALLED, "stalled (the line search could not decrease the "
                        "objective)"),
@@ -126,35 +118,10 @@ def _encode(D: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
     return X
 
 
-def _products(D: np.ndarray, Y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per column of Y, as rows: D^T y and y^T y."""
-    Yr = np.ascontiguousarray(Y.T)
-    Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
-    yty = np.matmul(Yr[:, None, :], Yr[:, :, None])[:, 0, 0]
-    return Dty, yty
-
-
-def _optimal(G: np.ndarray, x: np.ndarray, Dty: np.ndarray, lam: float
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Per row: the gradient, whether the nonzeros meet their optimality
-    condition, the violation of each zero coordinate (-1 on nonzeros), and
-    whether the row is optimal."""
-    active = x != 0.0
-    grad = np.matmul(x[:, None, :], G)[:, 0, :] - Dty
-    settled = np.all(~active | (np.abs(grad + lam * np.sign(x)) <= _OPT_TOL),
-                     axis=1)
-    viol = np.where(active, -1.0, np.abs(grad))
-    return grad, settled, viol, settled & (viol.max(axis=1) <= lam + _OPT_TOL)
-
-
-def _guess_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
-                 step: float) -> tuple[np.ndarray, np.ndarray]:
-    """Guess each column's support and signs with _GUESS_STEPS FISTA steps
-    of size `step` from 0, then solve the sign-constrained system on them
-    once.  Returns the k x m solves and, per column, whether its solve is
-    verified: the factor passes _factor's test without a ridge, the solve
-    keeps the guessed signs, and it meets the optimality conditions."""
-    Dty, _ = _products(D, Y)
+def _fista(G: np.ndarray, Dty: np.ndarray, lam: float, step: float
+           ) -> np.ndarray:
+    """Per row, the iterate of _GUESS_STEPS FISTA steps of size `step`
+    from 0."""
     x = z = np.zeros_like(Dty)
     t = 1.0
     for _ in range(_GUESS_STEPS):
@@ -163,43 +130,40 @@ def _guess_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
         t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
         z = x_next + ((t - 1.0) / t_next) * (x_next - x)
         x, t = x_next, t_next
-    theta = np.sign(x)
-    active = theta != 0.0
-    pair = active[:, :, None] & active[:, None, :]
-    L, ok = _factor(np.where(pair, G, np.eye(G.shape[0])), active)
-    b = np.where(active, Dty - lam * theta, 0.0)
-    x = np.where(active, _cholesky_solve(L, b), 0.0)
-    ok &= np.all(np.sign(x) == theta, axis=1)
-    ok &= _optimal(G, x, Dty, lam)[3]
-    return x.T, ok
+    return x
 
 
-def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
-                 cols: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Feature-sign search in lockstep on the columns of Y, whose indices
-    in the caller's input are `cols`.
+def _solve_block(G: np.ndarray, Dty: np.ndarray, yty: np.ndarray,
+                 lam: float, cols: np.ndarray, X: np.ndarray
+                 ) -> tuple[np.ndarray, np.ndarray]:
+    """Feature-sign search in lockstep from the rows of X, which it
+    overwrites, one row per column: D^T y in Dty, y^T y in yty and the
+    column's index in the caller's input in `cols`.
 
-    Arrays hold one row per column.  Each round takes every unfinished
-    column through one step of the single-column method.  A column that
-    meets the optimality conditions leaves as converged if it stands at
-    the zero start or at a full step; at a sign crossing it is solved once
-    more on its own support and signs, so its code is that exact solve.
-    A column whose line search cannot decrease the objective leaves too.
-    Returns the k x m codes and each column's outcome.
+    Each round takes every unfinished column through one step of the
+    single-column method.  A column that meets the optimality conditions
+    leaves as converged if it stands at zero or at a full step; anywhere
+    else (a nonzero start or a sign crossing) it is solved once more on its
+    own support and signs, so its code is that exact solve.  A column whose
+    line search cannot decrease the objective leaves as stalled, unless it
+    met the conditions and takes the full step.  Returns the k x m codes and
+    each column's outcome.
     """
-    Dty, yty = _products(D, Y)
-    m, k = Dty.shape
-    X = np.zeros((m, k))
-    cur = 0.5 * yty
-    exact = np.ones(m, dtype=bool)     # at the zero start or a full step
+    m = len(X)
+    cur = _objective(G, X[:, None, :], Dty, yty, lam)[:, 0]
+    exact = ~X.any(axis=1)             # at zero or at a full step
     outcome = np.full(m, _MAX_ITER)
     todo = np.arange(m)
     for _ in range(_MAX_STEPS):
         x = X[todo]
-        grad, settled, viol, opt = _optimal(G, x, Dty[todo], lam)
-        done = opt & exact[todo]
         active = x != 0.0
         theta = np.sign(x)
+        grad = np.matmul(x[:, None, :], G)[:, 0, :] - Dty[todo]
+        settled = np.all(~active | (np.abs(grad + lam * theta) <= _OPT_TOL),
+                         axis=1)
+        viol = np.where(active, -1.0, np.abs(grad))
+        opt = settled & (viol.max(axis=1) <= lam + _OPT_TOL)
+        done = opt & exact[todo]
         # once the active set is optimal, activate the worst violator with
         # its sign set against the gradient; ties go to the lowest index
         # (argmax returns the first maximum)
@@ -209,14 +173,18 @@ def _solve_block(D: np.ndarray, G: np.ndarray, Y: np.ndarray, lam: float,
         theta[add, mu] = -np.sign(grad[add, mu])
         outcome[todo[done]] = _CONVERGED
         step = ~done
-        todo, x, active, theta = todo[step], x[step], active[step], theta[step]
+        todo, x, active, theta, opt = (todo[step], x[step], active[step],
+                                       theta[step], opt[step])
         if todo.size == 0:
             break
         x_new = _solve_active_sets(G, active, Dty[todo] - lam * theta,
                                    cols[todo])
         best, obj, full = _line_search(G, x, x_new, Dty[todo], yty[todo], lam)
-        # stalled: no candidate decreases the objective at this tolerance
-        stalled = obj > cur[todo] + 1e-12 * np.maximum(1.0, np.abs(cur[todo]))
+        # stalled: no candidate decreases the objective at this tolerance.
+        # A column that met the conditions and takes the full step lands on
+        # its exact solve, whatever rounding does to the objective.
+        tol = 1e-12 * np.maximum(1.0, np.abs(cur[todo]))
+        stalled = (obj > cur[todo] + tol) & ~(opt & full)
         outcome[todo[stalled]] = _STALLED
         keep = ~stalled
         todo = todo[keep]
@@ -310,15 +278,21 @@ def _line_search(G: np.ndarray, x: np.ndarray, x_new: np.ndarray,
     P[:, 0] = x_new                    # the exact solve, not x + delta
     idx = np.arange(k)
     P[:, 1 + idx, idx] = 0.0           # a crossing lands on zero
-    PG = np.matmul(P, G)
-    quad = np.matmul(PG[:, :, None, :], P[:, :, :, None])[..., 0, 0]
-    lin = np.matmul(P, Dty[:, :, None])[..., 0]
-    l1 = np.matmul(np.abs(P, out=PG), np.ones(k))
-    obj = 0.5 * quad - lin + 0.5 * yty[:, None] + lam * l1
+    obj = _objective(G, P, Dty, yty, lam)
     obj[:, 1:][~crossing] = np.inf
     rows = np.arange(s)
     pick = np.argmin(obj, axis=1)
     return P[rows, pick], obj[rows, pick], pick == 0
+
+
+def _objective(G: np.ndarray, P: np.ndarray, Dty: np.ndarray,
+               yty: np.ndarray, lam: float) -> np.ndarray:
+    """Per row r and candidate c, the objective at the point P[r, c]."""
+    PG = np.matmul(P, G)
+    quad = np.matmul(PG[:, :, None, :], P[:, :, :, None])[..., 0, 0]
+    lin = np.matmul(P, Dty[:, :, None])[..., 0]
+    l1 = np.matmul(np.abs(P, out=PG), np.ones(P.shape[2]))
+    return 0.5 * quad - lin + 0.5 * yty[:, None] + lam * l1
 
 
 def coding_objective(D, Y, X, lam: float) -> float:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .beat_model import ShapeMismatchError
+from .errors import ShapeMismatchError
 
 
 def generate_planted_dataset(n_classes: int = 4, beats_per_class: int = 125,
@@ -18,6 +18,19 @@ def generate_planted_dataset(n_classes: int = 4, beats_per_class: int = 125,
                              noise: float = 0.02, spread: float = 0.5,
                              seed: int = 0) -> tuple[list[str], np.ndarray]:
     """Labels plus a gamma x n matrix of raw (unnormalized) beats."""
+    for name, value in (("n_classes", n_classes),
+                        ("beats_per_class", beats_per_class),
+                        ("gamma", gamma), ("j_count", j_count), ("k", k)):
+        if value < 1:
+            raise ShapeMismatchError(f"{name} must be at least 1, got {value}")
+    if not (np.isfinite(noise) and noise >= 0):
+        raise ValueError(f"noise must be finite and non-negative, got {noise}")
+    if not np.isfinite(spread):
+        raise ValueError(f"spread must be finite, got {spread}")
+    if n_classes > gamma:
+        # the class directions are orthonormal columns of gamma rows
+        raise ShapeMismatchError(
+            f"n_classes={n_classes} exceeds gamma={gamma}")
     if gamma % j_count != 0:
         raise ShapeMismatchError(f"gamma={gamma} not divisible by j_count={j_count}")
     d = gamma // j_count

@@ -47,6 +47,12 @@ def test_segment_view_errors():
         segment_view(beats, SegmentSpec.equal(8, 2), 1)
 
 
+def test_equal_spec_rejects_fewer_than_one_segment():
+    for j_count in (0, -2):
+        with pytest.raises(ShapeMismatchError, match="j_count"):
+            SegmentSpec.equal(12, j_count)
+
+
 def test_segment_view_is_pure():
     beats = beats_6x1()
     spec = SegmentSpec.equal(6, 3)

@@ -67,6 +67,24 @@ def test_gen_synthetic_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
+@pytest.mark.parametrize("flags, cause", [
+    (["--segments", "0"], "j_count must be at least 1, got 0"),
+    (["--atoms", "0"], "k must be at least 1, got 0"),
+    (["--gamma", "0"], "gamma must be at least 1, got 0"),
+    (["--classes", "5", "--gamma", "4"], "n_classes=5 exceeds gamma=4"),
+    (["--classes", "0"], "n_classes must be at least 1, got 0"),
+    (["--beats-per-class", "0"], "beats_per_class must be at least 1, got 0"),
+    (["--noise", "nan"], "noise must be finite and non-negative, got nan"),
+    (["--spread", "inf"], "spread must be finite, got inf"),
+])
+def test_gen_synthetic_rejects_bad_sizes(tmp_path, capsys, flags, cause):
+    path = tmp_path / "data.csv"
+    assert run(["gen-synthetic", "--out", path] + flags) == 1
+    assert capsys.readouterr().err == (
+        f"error: stage 'gen-synthetic': {cause}\n")
+    assert not path.exists()
+
+
 def test_train_dict_round_trip_and_determinism(tmp_path):
     dataset = make_dataset(tmp_path)
     out1, out2 = tmp_path / "o1", tmp_path / "o2"

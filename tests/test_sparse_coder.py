@@ -170,8 +170,8 @@ def planted_columns(seed, nnz, coherence, d=50, k=16,
 
 
 def test_guess_gives_the_loops_codes(monkeypatch):
-    # a settled guess is the exact solve on its support and signs, and so
-    # is the point the loop leaves from: coherent atoms make the loop's
+    # from FISTA's iterate and from zero alike, the search leaves from the
+    # exact solve on its final support and signs: coherent atoms make the
     # last step long enough that x + (x_new - x) can round away from
     # x_new, and on seeds 3 and 25 a column meets the stop test at a sign
     # crossing, which is solved once more on its support and signs
@@ -184,32 +184,37 @@ def test_guess_gives_the_loops_codes(monkeypatch):
 
 
 def test_guess_settles_most_columns(monkeypatch):
+    # from FISTA's iterate most columns hold their signs, so one exact
+    # solve, the first round's, settles them; from zero every column
+    # activates its atoms one round at a time
     D, Y = planted_columns(1, 3, 0.0)
-    looped = []
-    solve = sparse_coder._solve_block
+    n = Y.shape[1]
+    solved = []
+    solve = sparse_coder._solve_active_sets
 
-    def spy(D, G, Y, lam, cols):
-        looped.extend(cols)
-        return solve(D, G, Y, lam, cols)
+    def spy(G, active, b, cols):
+        solved.extend(cols)
+        return solve(G, active, b, cols)
 
-    monkeypatch.setattr(sparse_coder, "_solve_block", spy)
+    monkeypatch.setattr(sparse_coder, "_solve_active_sets", spy)
     X = batch_encode(D, Y, 0.1)
-    assert len(looped) < 0.1 * Y.shape[1]
-    for i in range(0, Y.shape[1], 37):
+    rounds = np.bincount(solved, minlength=n)
+    assert np.count_nonzero(rounds != 1) < 0.1 * n
+    for i in range(0, n, 37):
         assert lasso_kkt_violation(D, Y[:, i], X[:, i], 0.1) <= 1e-6
 
 
 def test_singular_gram_skips_the_guess(monkeypatch):
     # with more atoms than rows the lasso optimum need not be unique, so
-    # every column takes the loop and its lowest-index tie-break
+    # every column starts from zero and keeps its lowest-index tie-break
     guessed = []
-    guess = sparse_coder._guess_block
+    fista = sparse_coder._fista
 
     def spy(*args):
         guessed.append(args)
-        return guess(*args)
+        return fista(*args)
 
-    monkeypatch.setattr(sparse_coder, "_guess_block", spy)
+    monkeypatch.setattr(sparse_coder, "_fista", spy)
     rng = np.random.default_rng(6)
     D, _ = random_instance(rng, 4, 7)
     Y = rng.normal(size=(4, 30))
@@ -218,6 +223,28 @@ def test_singular_gram_skips_the_guess(monkeypatch):
         assert lasso_kkt_violation(D, Y[:, i], X[:, i], 0.1) <= 1e-6
     test_activation_tie_breaks_to_lowest_index()
     assert guessed == []
+    # a positive definite gram takes the guess
+    batch_encode(D[:, :3], Y, 0.1)
+    assert len(guessed) == 1
+
+
+def test_an_optimal_start_ends_on_its_exact_solve():
+    # a start that meets the optimality conditions but is not an exact
+    # solve takes one more solve on its support and signs; with large data
+    # its objective can read higher by rounding, which is not a stall
+    rng = np.random.default_rng(0)
+    D = rng.normal(size=(8, 4))
+    D /= np.linalg.norm(D, axis=0)
+    Y = D @ (1e3 * rng.normal(size=(4, 40)))
+    X = batch_encode(D, Y, 0.1)
+    Yr = Y.T.copy()
+    Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
+    yty = np.matmul(Yr[:, None, :], Yr[:, :, None])[:, 0, 0]
+    start = X.T * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, size=X.T.shape))
+    codes, outcome = sparse_coder._solve_block(D.T @ D, Dty, yty, 0.1,
+                                               np.arange(40), start)
+    assert np.all(outcome == sparse_coder._CONVERGED)
+    assert np.array_equal(codes, X)
 
 
 def test_rank_deficient_column_among_ordinary_columns(monkeypatch):
@@ -278,32 +305,49 @@ def warning_messages(fn, *args):
             if issubclass(w.category, ConvergenceWarning)]
 
 
-def test_warnings_count_stalled_and_max_iter_columns(monkeypatch):
-    # two nearly equal atoms and large data: some line searches cannot
-    # decrease the objective at the relative tolerance of the stall test
+def near_duplicate_atoms():
+    # two nearly equal atoms and large data
     rng = np.random.default_rng(1)
     D = rng.normal(size=(6, 3))
     D[:, 1] = D[:, 0] + 3e-5 * rng.normal(size=6)
     D /= np.linalg.norm(D, axis=0)
-    Y = 60.0 * rng.normal(size=(6, 40))
-    lam = 4e-4
+    return D, 60.0 * rng.normal(size=(6, 40)), 4e-4
+
+
+def test_warnings_count_stalled_and_max_iter_columns(monkeypatch):
+    # from zero, some line searches cannot decrease the objective at the
+    # relative tolerance of the stall test
+    D, Y, lam = near_duplicate_atoms()
     single = ("feature-sign search stalled (the line search could not "
               "decrease the objective) on 1 of 1 columns (first: column 0)")
-    alone = [warning_messages(encode_one, D, Y[:, i], lam)
-             for i in range(40)]
-    stalled = [i for i, caught in enumerate(alone) if caught == [single]]
-    assert stalled
-    assert all(caught in ([], [single]) for caught in alone)
-    assert warning_messages(batch_encode, D, Y, lam) == [
-        "feature-sign search stalled (the line search could not decrease "
-        f"the objective) on {len(stalled)} of 40 columns "
-        f"(first: column {stalled[0]})"]
+    with monkeypatch.context() as m:
+        m.setattr(sparse_coder, "_GUESS_STEPS", 0)
+        alone = [warning_messages(encode_one, D, Y[:, i], lam)
+                 for i in range(40)]
+        stalled = [i for i, caught in enumerate(alone) if caught == [single]]
+        assert stalled
+        assert all(caught in ([], [single]) for caught in alone)
+        assert warning_messages(batch_encode, D, Y, lam) == [
+            "feature-sign search stalled (the line search could not "
+            f"decrease the objective) on {len(stalled)} of 40 columns "
+            f"(first: column {stalled[0]})"]
 
     Y[:, :2] = 0.0   # optimal at the start, before any step
     monkeypatch.setattr(sparse_coder, "_MAX_STEPS", 1)
     assert warning_messages(batch_encode, D, Y, lam) == [
         "feature-sign search hit max_iter=1 before optimality on 38 of 40 "
         "columns (first: column 2)"]
+
+
+def test_fista_start_reaches_optimality_on_near_duplicate_atoms():
+    # the columns that stall from zero reach optimality from FISTA's
+    # iterate
+    D, Y, lam = near_duplicate_atoms()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        X = batch_encode(D, Y, lam)
+    for i in range(40):
+        assert lasso_kkt_violation(D, Y[:, i], X[:, i], lam) <= 1e-6
 
 
 def test_batch_error_carries_column_index():
