@@ -26,6 +26,17 @@ times.
 
 Atoms never selected by any code are left at zero by the dual and are
 re-initialized from random data columns so all k atoms stay effective.
+
+The fit warm-starts every alternation after the first from the one before
+it, through the same public calls: feature-sign search starts from the
+previous codes, and Newton from the previous dual variables on the atoms
+still in use (from 1 on the others).  Consecutive alternations differ
+little, so the codes skip FISTA's start-up steps, and Newton takes fewer
+steps (about half on planted data).  The codes still end on the exact
+solve on their final support and signs, so they differ from a cold start's
+only where two starts stop at different points that both meet the
+optimality slack; the dictionary moves in its last bits, within Newton's
+stopping tolerance.
 """
 
 from __future__ import annotations
@@ -124,9 +135,10 @@ def _inverse_factor(A: np.ndarray) -> np.ndarray:
     return np.linalg.inv(np.linalg.cholesky(A))
 
 
-def _newton_dual(X: np.ndarray, Y: np.ndarray
+def _newton_dual(X: np.ndarray, Y: np.ndarray, lam: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray, list[float], bool]:
-    """Maximize R over lam >= 0; X must have no all-zero rows.
+    """Maximize R over lam >= 0 from the positive start `lam`, which the
+    feasibility guard may change in place; X must have no all-zero rows.
 
     Returns lam, M = (X X^T + Lam)^{-1} X Y^T (the transposed dictionary),
     R at every accepted step, and whether Newton stopped before _NEWTON_MAX.
@@ -144,7 +156,6 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray
         r = yty - float(np.sum(W * W)) - float(lam_v.sum())
         return r, Linv.T @ W, Linv
 
-    lam = np.ones(k)
     r_cur, M, Linv = evaluate(lam)
     history = [r_cur]
 
@@ -214,15 +225,19 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray
 
 
 def lagrange_dual_update(X, Y, *, segment_index: int = 1,
-                         rng: np.random.Generator | None = None
+                         rng: np.random.Generator | None = None,
+                         start: DualState | None = None
                          ) -> tuple[SegmentDictionary, DualState]:
     """One dictionary update for fixed codes X against data Y.
 
     Rows of X that are identically zero (unused atoms) are excluded from the
     dual system; their atoms come back as data columns drawn by rng
-    (default_rng(0) if None), with dual variable 0.  Warns (ConvergenceWarning)
-    when Newton stops at _NEWTON_MAX, and when the feasibility guard runs
-    out of corrections with an atom still over unit norm.
+    (default_rng(0) if None), with dual variable 0.  Newton starts from 1 on
+    every atom, or, given a warm `start` (the previous update's state), from
+    start.lam on the atoms in use whose start value is positive.  Warns
+    (ConvergenceWarning) when Newton stops at _NEWTON_MAX, and when the
+    feasibility guard runs out of corrections with an atom still over unit
+    norm.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -231,11 +246,19 @@ def lagrange_dual_update(X, Y, *, segment_index: int = 1,
             f"codes {X.shape} and data {Y.shape} do not align")
     k = X.shape[0]
     d = Y.shape[0]
+    if start is not None and start.lam.shape != (k,):
+        raise ShapeMismatchError(
+            f"start has {start.lam.size} dual variables, codes have {k} "
+            f"atoms")
     used = np.flatnonzero(np.any(X != 0.0, axis=1))
     if used.size == 0:
         raise InsufficientDataError("no atom is used by any code")
 
-    lam_used, M, history, converged = _newton_dual(X[used], Y)
+    lam0 = np.ones(used.size)
+    if start is not None:
+        warm = start.lam[used]
+        lam0[warm > 0.0] = warm[warm > 0.0]
+    lam_used, M, history, converged = _newton_dual(X[used], Y, lam0)
     if not converged:
         warnings.warn(f"segment {segment_index}: Newton's method took "
                       f"{_NEWTON_MAX} steps without its relative step "
@@ -276,21 +299,29 @@ def lagrange_dual_update(X, Y, *, segment_index: int = 1,
 def _train_one(segments: np.ndarray, cfg: TrainConfig, segment_index: int,
                log_fn: Callable[[int, int, float], None] | None = None
                ) -> SegmentDictionary:
-    """Alternate coding and dictionary updates on one segment's data."""
+    """Alternate coding and dictionary updates on one segment's data.
+
+    The first alternation starts both solvers cold.  Every later one is
+    warm: feature-sign search starts from the previous codes and Newton
+    from the previous dual variables.  Both still go through the public
+    `batch_encode` and `lagrange_dual_update`, once per alternation.
+    """
     rng = np.random.default_rng([cfg.seed, segment_index])
     dictionary = SegmentDictionary(_init_atoms(segments, cfg.k, rng), segment_index)
     prev = None
     flat_streak = 0
+    codes = dual = None
     for it in range(cfg.outer_iters):
-        codes = batch_encode(dictionary.atoms, segments, cfg.lam)
+        codes = batch_encode(dictionary.atoms, segments, cfg.lam, start=codes)
         if not codes.any():
             lam_max = float(np.abs(dictionary.atoms.T @ segments).max())
             raise InsufficientDataError(
                 f"every code is zero at lambda={cfg.lam:.6g}: lambda must "
                 f"stay below lambda_max={lam_max:.6g}, the largest "
                 f"|d_k^T y| over the {segments.shape[1]} training columns")
-        dictionary, _ = lagrange_dual_update(
-            codes, segments, segment_index=segment_index, rng=rng)
+        dictionary, dual = lagrange_dual_update(
+            codes, segments, segment_index=segment_index, rng=rng,
+            start=dual)
         obj = coding_objective(dictionary.atoms, segments, codes, cfg.lam)
         if log_fn is not None:
             log_fn(segment_index, it, obj)

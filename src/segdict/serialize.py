@@ -14,17 +14,14 @@ from .classifier import MultiClassSvm, TrainedSvm
 from .errors import ParseError
 
 
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
-
-
 def write_matrix(fh, name: str, arr: np.ndarray) -> None:
     arr = np.atleast_2d(np.asarray(arr, dtype=float))
     if any(ch.isspace() for ch in name) or not name:
         raise ValueError(f"bad block name {name!r}")
     fh.write(f"{arr.shape[0]} {arr.shape[1]} {name}\n")
+    line = " ".join(["%.17g"] * arr.shape[1]) + "\n"
     for row in arr:
-        fh.write(" ".join(_fmt(v) for v in row) + "\n")
+        fh.write(line % tuple(row.tolist()))
 
 
 def _read_block(lines: list[str], pos: int) -> tuple[str, np.ndarray, int]:
@@ -139,9 +136,9 @@ def save_svm(path, model: MultiClassSvm) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("classes " + " ".join(model.classes) + "\n")
         for i, m in enumerate(model.machines):
-            fh.write(f"machine {m.class_pair[0]} {m.class_pair[1]} "
-                     f"{_fmt(m.bias)} {_fmt(m.gamma)} {_fmt(m.c_penalty)} "
-                     f"{int(m.converged)}\n")
+            fh.write("machine %s %s %.17g %.17g %.17g %d\n"
+                     % (m.class_pair[0], m.class_pair[1], m.bias, m.gamma,
+                        m.c_penalty, m.converged))
             write_matrix(fh, f"support_vectors_{i}", m.support_vectors)
             write_matrix(fh, f"alphas_{i}", m.alphas.reshape(1, -1))
             write_matrix(fh, f"sv_indices_{i}",

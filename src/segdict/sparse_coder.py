@@ -13,13 +13,15 @@ optimality conditions
 where grad = D^T (D x - y) and _OPT_TOL = 1e-7; lam is the only control.
 
 One core solves every column.  The gram G = D^T D is formed once per
-call, and it chooses one start point for every column.  When G is
+call, and it chooses one kind of start point for every column.  When G is
 positive definite (its smallest eigenvalue above _PIVOT_RTOL times its
 largest), the optimum is unique, and feature-sign search starts from the
-iterate of _GUESS_STEPS FISTA steps from 0 (of size 1 / the largest
-eigenvalue); a column whose iterate has the optimum's support and signs
-is settled by its first round's solve.  Otherwise, so that ties keep their
-lowest-index rule, it starts from zero.  Either way the search ends on the
+caller's start point if one is given (the dictionary fit passes the
+previous alternation's codes), else from the iterate of _GUESS_STEPS FISTA
+steps from 0 (of size 1 / the largest eigenvalue); a column whose start
+has the optimum's support and signs is settled by its first round's
+solve.  Otherwise, so that ties keep their lowest-index rule, it starts
+from zero and ignores any given start.  Either way the search ends on the
 exact solve on its final support and signs: a column leaves as converged
 only from zero or a full step, and one that meets the conditions anywhere
 else (a nonzero start or a sign crossing) is solved once more on its own
@@ -80,31 +82,51 @@ def _validated(D, Y, lam) -> tuple[np.ndarray, np.ndarray]:
     return D, Y
 
 
-def batch_encode(D, Y, lam: float) -> np.ndarray:
+def batch_encode(D, Y, lam: float, *, start=None) -> np.ndarray:
     """Encode every column of Y independently against the atoms (columns)
     of D; column i of the result is batch_encode(D, Y[:, i:i+1], lam),
-    bit for bit."""
+    bit for bit.
+
+    `start`, a k x n array, is a warm start: it replaces FISTA's iterate as
+    the search's start point when the gram is positive definite, and column
+    i of the result is then batch_encode(D, Y[:, i:i+1], lam,
+    start=start[:, i:i+1]), bit for bit.
+    """
     D, Y = _validated(D, Y, lam)
-    return _encode(D, Y, lam)
+    if start is not None:
+        start = np.asarray(start, dtype=float)
+        shape = (D.shape[1], Y.shape[1])
+        if start.shape != shape:
+            raise ValueError(f"start has shape {start.shape}, expected "
+                             f"{shape}")
+        bad = np.flatnonzero(~np.isfinite(start).all(axis=0))
+        if bad.size:
+            raise ValueError(f"column {bad[0]}: start must be finite")
+    return _encode(D, Y, lam, start)
 
 
-def _encode(D: np.ndarray, Y: np.ndarray, lam: float) -> np.ndarray:
-    """Solve the columns in blocks of _BLOCK, each from FISTA's iterate when
-    the gram is positive definite and from zero otherwise; warn once per bad
-    outcome."""
+def _encode(D: np.ndarray, Y: np.ndarray, lam: float,
+            start: np.ndarray | None) -> np.ndarray:
+    """Solve the columns in blocks of _BLOCK, each from `start` or else
+    FISTA's iterate when the gram is positive definite and from zero
+    otherwise; warn once per bad outcome."""
     n = Y.shape[1]
     G = D.T @ D
     X = np.empty((D.shape[1], n))
     outcome = np.empty(n, dtype=int)
     ev = np.linalg.eigvalsh(G)
     positive_definite = ev[0] > _PIVOT_RTOL * ev[-1]
-    for start in range(0, n, _BLOCK):
-        cols = np.arange(start, min(start + _BLOCK, n))
+    for first in range(0, n, _BLOCK):
+        cols = np.arange(first, min(first + _BLOCK, n))
         Yr = Y.T[cols]                 # one C-contiguous row per column
         Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
         yty = np.matmul(Yr[:, None, :], Yr[:, :, None])[:, 0, 0]
-        x0 = (_fista(G, Dty, lam, 1.0 / ev[-1]) if positive_definite
-              else np.zeros_like(Dty))
+        if not positive_definite:
+            x0 = np.zeros_like(Dty)
+        elif start is None:
+            x0 = _fista(G, Dty, lam, 1.0 / ev[-1])
+        else:
+            x0 = np.ascontiguousarray(start.T[cols])
         X[:, cols], outcome[cols] = _solve_block(G, Dty, yty, lam, cols, x0)
     for kind, what in (
             (_STALLED, "stalled (the line search could not decrease the "

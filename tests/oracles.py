@@ -124,6 +124,15 @@ def lagrangian_min_gd(Y, X, lam, iters=50000, tol=1e-14):
             + float(np.sum(lam * (np.sum(D * D, axis=0) - 1.0))))
 
 
+def dual_stationarity(Y, X, D, lam):
+    """Norm of the gradient in D of ||Y - DX||_F^2 + sum_k lam_k ||d_k||^2
+    at (D, lam), relative to ||Y X^T||."""
+    Y, X, D = (np.asarray(a, dtype=float) for a in (Y, X, D))
+    grad = 2.0 * (D @ (X @ X.T) - Y @ X.T + D * np.asarray(lam)[None, :])
+    return float(np.linalg.norm(grad)) / max(float(np.linalg.norm(Y @ X.T)),
+                                             1e-12)
+
+
 def kmeans_exhaustive(points, k):
     """Optimal k-means distortion by enumerating canonical assignments."""
     pts = np.asarray(points, dtype=float)

@@ -11,12 +11,13 @@ from segdict.dict_learner import (DualState, TrainConfig, _init_atoms,
                                   _train_one, encode_beats,
                                   lagrange_dual_update,
                                   train_segment_dictionaries)
-from segdict.errors import ConvergenceWarning, InsufficientDataError
+from segdict.errors import (ConvergenceWarning, InsufficientDataError,
+                            ShapeMismatchError)
 from segdict.ingest import normalize_beat
 from segdict.synthetic import generate_planted_dataset
 
-from oracles import (constrained_lsq_pg, lagrangian_min_gd,
-                     lasso_kkt_violation)
+from oracles import (constrained_lsq_pg, dual_stationarity,
+                     lagrangian_min_gd, lasso_kkt_violation)
 
 
 def test_init_atoms_unit_norms_and_determinism():
@@ -114,6 +115,30 @@ def test_dual_update_stationarity_and_feasibility():
         assert np.all(dual.lam >= 0.0)
         hist = np.array(dual.r_history)
         assert np.all(np.diff(hist) >= -1e-12)
+
+
+def test_dual_update_from_a_nearby_start():
+    # Newton from the dual variables of nearby codes reaches the cold
+    # update's dictionary in fewer steps
+    for seed in range(4):
+        rng = np.random.default_rng(seed)
+        Y = rng.normal(size=(10, 80))
+        X1 = 0.2 * rng.normal(size=(6, 80)) * (rng.random((6, 80)) < 0.4)
+        X2 = X1 * (1.0 + 0.01 * rng.normal(size=X1.shape))
+        _, state = lagrange_dual_update(X1, Y)
+        cold, cold_dual = lagrange_dual_update(X2, Y)
+        warm, dual = lagrange_dual_update(X2, Y, start=state)
+        assert np.abs(warm.atoms - cold.atoms).max() <= 1e-8
+        assert dual_stationarity(Y, X2, warm.atoms, dual.lam) <= 1e-6
+        assert np.all(np.linalg.norm(warm.atoms, axis=0) <= 1.0 + 1e-6)
+        assert len(dual.r_history) < len(cold_dual.r_history)
+
+
+def test_dual_update_rejects_a_start_of_the_wrong_size():
+    X, Y = np.eye(3), np.ones((2, 3))
+    with pytest.raises(ShapeMismatchError,
+                       match="start has 2 dual variables, codes have 3 atoms"):
+        lagrange_dual_update(X, Y, start=DualState(np.ones(2)))
 
 
 def test_dual_update_refreshes_unused_atoms():
@@ -292,6 +317,37 @@ def test_single_segment_training_matches_inner_loop():
     outer = train_segment_dictionaries(beats, spec, cfg, np.arange(30))
     inner = _train_one(beats.samples, cfg, segment_index=1)
     assert np.array_equal(outer[0].atoms, inner.atoms)
+
+
+def test_every_alternation_calls_both_traced_solvers(monkeypatch):
+    # the benchmark counts coded columns and Newton steps through the
+    # module-global names, so each alternation must call each once, warm
+    # from the previous call's result after the first
+    coded, updated = [], []
+    encode = dict_learner.batch_encode
+    update = dict_learner.lagrange_dual_update
+
+    def encode_spy(*args, start=None, **kwargs):
+        coded.append(start)
+        return encode(*args, start=start, **kwargs)
+
+    def update_spy(*args, start=None, **kwargs):
+        updated.append(start)
+        return update(*args, start=start, **kwargs)
+
+    monkeypatch.setattr(dict_learner, "batch_encode", encode_spy)
+    monkeypatch.setattr(dict_learner, "lagrange_dual_update", update_spy)
+    rng = np.random.default_rng(13)
+    beats, spec = planted_beats(rng, j_count=1, noise=0.1)
+    log = []
+    cfg = TrainConfig(k=4, lam=0.05, outer_iters=8, seed=3)
+    train_segment_dictionaries(beats, spec, cfg, np.arange(beats.count),
+                               log_fn=lambda j, t, obj: log.append(t))
+    assert len(log) >= 3
+    assert len(coded) == len(updated) == len(log)
+    assert coded[0] is None and updated[0] is None
+    assert all(c is not None for c in coded[1:])
+    assert all(isinstance(u, DualState) for u in updated[1:])
 
 
 def test_train_rejects_empty_or_bad_subset():

@@ -28,6 +28,19 @@ def test_matrix_header_format(tmp_path):
     assert first == "2 3 codes"
 
 
+def test_matrix_values_are_written_with_17_significant_digits(tmp_path):
+    path = tmp_path / "m.txt"
+    values = [0.0, -0.0, 5e-324, np.finfo(float).max, 1 / 3, np.nan,
+              np.inf, -np.inf]
+    serialize.save_matrices(path, [("v", np.array([values])),
+                                   ("empty", np.zeros((3, 0)))])
+    assert path.read_text() == (
+        "1 8 v\n"
+        "0 -0 4.9406564584124654e-324 1.7976931348623157e+308 "
+        "0.33333333333333331 nan inf -inf\n"
+        "3 0 empty\n\n\n\n")
+
+
 def test_matrix_rejects_bad_header(tmp_path):
     path = tmp_path / "m.txt"
     path.write_text("2 x codes\n")

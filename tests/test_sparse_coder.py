@@ -247,6 +247,59 @@ def test_an_optimal_start_ends_on_its_exact_solve():
     assert np.array_equal(codes, X)
 
 
+def test_a_warm_start_gives_the_cold_codes(monkeypatch):
+    # the dictionary fit starts each alternation from the previous codes;
+    # on a positive definite gram the search ends on the same exact solves
+    # as from FISTA's iterate, bit for bit, across blocks and column by
+    # column
+    D1, Y = planted_columns(4, 3, 0.5)
+    rng = np.random.default_rng(4)
+    D2 = D1 + 1e-3 * rng.normal(size=D1.shape)
+    D2 /= np.linalg.norm(D2, axis=0)
+    start = batch_encode(D1, Y, 0.1)
+    cold = batch_encode(D2, Y, 0.1)
+    guessed = []
+    fista = sparse_coder._fista
+
+    def spy(*args):
+        guessed.append(args)
+        return fista(*args)
+
+    monkeypatch.setattr(sparse_coder, "_fista", spy)
+    warm = batch_encode(D2, Y, 0.1, start=start)
+    assert Y.shape[1] > sparse_coder._BLOCK and guessed == []
+    assert np.array_equal(warm, cold)
+    for i in range(0, Y.shape[1], 41):
+        one = batch_encode(D2, Y[:, i:i + 1], 0.1, start=start[:, i:i + 1])
+        assert np.array_equal(one[:, 0], warm[:, i])
+
+
+def test_singular_gram_ignores_the_start():
+    # atom 3 duplicates atom 0, so the optimum is not unique: a start on
+    # the copy is ignored and the lowest index takes the weight
+    rng = np.random.default_rng(9)
+    D0, _ = random_instance(rng, 4, 3)
+    D = np.hstack([D0, D0[:, :1]])
+    Y = rng.normal(size=(4, 20))
+    X0 = batch_encode(D0, Y, 0.1)
+    start = np.vstack([np.zeros((1, 20)), X0[1:], X0[:1]])
+    X = batch_encode(D, Y, 0.1, start=start)
+    assert np.count_nonzero(X0[0]) > 0
+    assert not X[3].any()
+    assert np.array_equal(X, batch_encode(D, Y, 0.1))
+
+
+def test_rejects_a_bad_start():
+    D, Y = np.eye(3), np.ones((3, 4))
+    with pytest.raises(ValueError,
+                       match=r"start has shape \(3, 3\), expected \(3, 4\)"):
+        batch_encode(D, Y, 0.1, start=np.zeros((3, 3)))
+    start = np.zeros((3, 4))
+    start[1, 2] = np.nan
+    with pytest.raises(ValueError, match="column 2: start must be finite"):
+        batch_encode(D, Y, 0.1, start=start)
+
+
 def test_rank_deficient_column_among_ordinary_columns(monkeypatch):
     # with a3 = 0.7*(a1 + a2) every three-atom active set is singular;
     # columns 7 and 12, mirror images, reach one in the same round, so both
