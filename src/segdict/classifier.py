@@ -31,10 +31,29 @@ _KKT_TOL = 1e-3
 _MAX_SWEEPS = 500
 
 
+def _require_positive(name, values):
+    """Raise ValueError naming the first of values that is not finite and
+    positive."""
+    values = np.asarray(values, dtype=float).ravel()
+    bad = np.flatnonzero(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        v = values[bad[0]]
+        raise ValueError(f"{name} must be {'finite' if v > 0 else 'positive'}"
+                         f", got {v:g}")
+
+
+def _samples(features) -> np.ndarray:
+    """Features as a 2-D float array of sample columns, all finite."""
+    X = np.atleast_2d(np.asarray(features, dtype=float))
+    bad = np.flatnonzero(~np.isfinite(X).all(axis=0))
+    if bad.size:
+        raise ValueError(f"column {bad[0]}: features must be finite")
+    return X
+
+
 def rbf_gram(A, B, gamma: float) -> np.ndarray:
     """Kernel matrix between the columns of A and the columns of B."""
-    if not gamma > 0:
-        raise ValueError(f"gamma must be positive, got {gamma:g}")
+    _require_positive("gamma", gamma)
     A = np.atleast_2d(np.asarray(A, dtype=float))
     B = np.atleast_2d(np.asarray(B, dtype=float))
     na = np.einsum("ij,ij->j", A, A)
@@ -71,10 +90,8 @@ class TrainedSvm:
                            np.asarray(self.sv_indices, dtype=int).ravel())
         if sv.shape[1] != al.size or al.size != self.sv_indices.size:
             raise LengthMismatchError("support vectors, alphas, indices disagree")
-        for name, value in (("gamma", self.gamma),
-                            ("c_penalty", self.c_penalty)):
-            if not value > 0:
-                raise ValueError(f"{name} must be positive, got {value:g}")
+        _require_positive("gamma", self.gamma)
+        _require_positive("c_penalty", self.c_penalty)
         if np.any(np.abs(al) > self.c_penalty * (1 + 1e-9)):
             raise ValueError("dual coefficients exceed the box constraint")
         if abs(al.sum()) > 1e-6 * np.abs(al).sum() + 1e-9:
@@ -90,25 +107,22 @@ def decision_values(machine: TrainedSvm, Z) -> np.ndarray:
     return machine.alphas @ K + machine.bias
 
 
-def _pair_step(ai, aj, gi, gj, same, quad, c):
-    """LIBSVM's two-variable update, clipped to the box [0, c]."""
-    def clip(k, ni, nj, vi, vj):    # (vi, vj) where k holds, else (ni, nj)
-        return np.where(k, vi, ni), np.where(k, vj, nj)
-    # labels differ: a_i - a_j stays fixed
-    d, delta = ai - aj, (-gi - gj) / quad
-    pi, pj, pos = ai + delta, aj + delta, d > 0
-    pi, pj = clip(pos & (pj < 0), pi, pj, d, 0.0)
-    pi, pj = clip(~pos & (pi < 0), pi, pj, 0.0, -d)
-    pi, pj = clip(pos & (pi > c), pi, pj, c, c - d)
-    pi, pj = clip(~pos & (pj > c), pi, pj, c + d, c)
-    # labels agree: a_i + a_j stays fixed
-    s, delta = ai + aj, (gi - gj) / quad
-    qi, qj, over = ai - delta, aj + delta, s > c
-    qi, qj = clip(over & (qi > c), qi, qj, c, s - c)
-    qi, qj = clip(~over & (qj < 0), qi, qj, s, 0.0)
-    qi, qj = clip(over & (qj > c), qi, qj, s - c, c)
-    qi, qj = clip(~over & (qi < 0), qi, qj, 0.0, s)
-    return np.where(same, qi, pi), np.where(same, qj, pj)
+def _pair_step(ai, aj, yi, yj, t, c):
+    """LIBSVM's two-variable update a_i += y_i t, a_j -= y_j t, which keeps
+    w = a_i + y_i y_j a_j, clipped to the box [0, c] in LIBSVM's order."""
+    r = yi * yj
+    ni, nj, w, same = ai + yi * t, aj - yj * t, ai + r * aj, r > 0
+    # LIBSVM tests w against c (labels agree) or 0 (they differ), then
+    # makes at most two of these clips, in this order
+    high = w > np.where(same, c, 0.0)
+    flip = high ^ same
+    for k, vi, vj in ((flip & (nj < 0), w, 0.0),
+                      (~high & (ni < 0), 0.0, r * w)):
+        ni, nj = np.where(k, vi, ni), np.where(k, vj, nj)
+    for k, vi, vj in ((high & (ni > c), c, r * (w - c)),
+                      (~flip & (nj > c), w - r * c, c)):
+        ni, nj = np.where(k, vi, ni), np.where(k, vj, nj)
+    return ni, nj
 
 
 def _smo_batch(K, idx, y, C, gamma, pairs, on_step=None):
@@ -121,27 +135,31 @@ def _smo_batch(K, idx, y, C, gamma, pairs, on_step=None):
     updates per sample.  A problem leaves the batch as it stops; its
     arithmetic is elementwise and the update count is shared, so its
     duals, bias and outcome do not depend on the batch.
+    A step works on v = -y * g for the dual gradient g, which is exact for
+    labels +/-1, and changes WSS2's index sets I_up and I_low only at the
+    two duals it updates.
     on_step(alpha, bias estimate) is called after every update of a
     one-problem batch."""
     C = np.broadcast_to(np.asarray(C, dtype=float), y.shape[:1])
-    if not np.all(C > 0):
-        raise ValueError(f"c_penalty must be positive, got "
-                         f"{C[np.argmin(C > 0)]:g}")
+    _require_positive("c_penalty", C)
     alpha, G = np.empty(y.shape), np.empty(y.shape)
     converged = np.empty(y.shape[0], dtype=bool)
+    flat, n = K.ravel(), K.shape[1]
     # the live batch: each problem's row in the outputs, then its duals a,
-    # their gradient g, and its labels, indices, box, diagonal and cap
+    # v = -y * g (padding's v is never read), I_up and I_low as 0 inside
+    # and -inf / +inf outside, and its labels, indices, box, diagonal and
+    # cap.  At a = 0, I_up holds the positive samples and I_low the
+    # negative ones; padding is in neither
     live = np.arange(y.shape[0])
-    a, g, yl, il, c = np.zeros(y.shape), -np.abs(y), y, idx, C
+    a, v = np.zeros(y.shape), y.astype(float)
+    up, low = np.where(y > 0, 0.0, -np.inf), np.where(y < 0, 0.0, np.inf)
+    yl, il, c = y, idx, C
     diag, cap = K.diagonal()[idx], _MAX_SWEEPS * np.count_nonzero(y, axis=1)
-    steps = 0
+    rows, steps = live, 0
     while True:
-        box, v = c[:, None], -yl * g
-        # padding has alpha = 0, so it is in neither index set
-        vu = np.where(np.where(yl > 0, a < box, a > 0), v, -np.inf)
-        low = np.where(yl < 0, a < box, a > 0)
-        i, rows = vu.argmax(1), np.arange(live.size)
-        top, bottom = vu[rows, i], np.where(low, v, np.inf).min(1)
+        vu, vl = v + up, v + low
+        i = vu.argmax(1)
+        top, bottom = vu[rows, i], vl[rows, vl.argmin(1)]
         if on_step is not None and steps:
             on_step(a[0].copy(), 0.5 * float(top[0] + bottom[0]))
         ok = top - bottom <= 0.9 * _KKT_TOL  # margin for the final bias
@@ -149,28 +167,33 @@ def _smo_batch(K, idx, y, C, gamma, pairs, on_step=None):
         if stop.any():
             # a stopped problem's state is final: write it out, drop its row
             done = live[stop]
-            alpha[done], G[done], converged[done] = a[stop], g[stop], ok[stop]
-            go = ~stop
-            if not go.any():
+            alpha[done], converged[done] = a[stop], ok[stop]
+            G[done] = -yl[stop] * v[stop]
+            go = np.flatnonzero(~stop)
+            if not go.size:
                 break
-            live, a, g, yl, il, c, diag, cap, v, low, i, top = (
-                x[go] for x in (live, a, g, yl, il, c, diag, cap, v, low, i,
-                                top))
+            live, a, v, vl, up, low, yl, il, c, diag, cap, i, top = (
+                x[go] for x in (live, a, v, vl, up, low, yl, il, c, diag, cap,
+                                i, top))
             rows = np.arange(live.size)
-        Ki = K[il[rows, i][:, None], il]
-        quad = Ki[rows, i][:, None] + diag - 2.0 * Ki
+        Ki = flat[(il[rows, i] * n)[:, None] + il]
+        quad = diag[rows, i][:, None] + diag - 2.0 * Ki
         quad[quad <= 0] = 1e-12     # LIBSVM's curvature floor, tau
-        gain = top[:, None] - v
-        j = np.where(low & (v < top[:, None]), -(gain * gain) / quad,
-                     np.inf).argmin(1)
-        Kj = K[il[rows, j][:, None], il]
+        # j maximizes (v_i - v_j)^2 / quad over I_low where v_j < v_i;
+        # elsewhere the gain is -inf or at most 0, so the clip sets it to 0
+        gain = np.maximum(top[:, None] - vl, 0.0)
+        j = (gain * gain / quad).argmax(1)
+        Kj = flat[(il[rows, j] * n)[:, None] + il]
         ai, aj = a[rows, i], a[rows, j]
         yi, yj = yl[rows, i], yl[rows, j]
-        ni, nj = _pair_step(ai, aj, g[rows, i], g[rows, j], yi == yj,
-                            quad[rows, j], c)
-        g += yl * ((yi * (ni - ai))[:, None] * Ki
-                   + (yj * (nj - aj))[:, None] * Kj)
-        a[rows, i], a[rows, j] = ni, nj
+        ni, nj = _pair_step(ai, aj, yi, yj, gain[rows, j] / quad[rows, j], c)
+        v -= (yi * (ni - ai))[:, None] * Ki + (yj * (nj - aj))[:, None] * Kj
+        for k, yk, nk in ((i, yi, ni), (j, yj, nj)):
+            a[rows, k] = nk
+            up[rows, k] = np.where(np.where(yk > 0, nk < c, nk > 0), 0.0,
+                                   -np.inf)
+            low[rows, k] = np.where(np.where(yk < 0, nk < c, nk > 0), 0.0,
+                                    np.inf)
         steps += 1
     if not converged.all():
         p = np.argmin(converged)
@@ -214,7 +237,7 @@ def smo_train(features, labels, c_penalty: float, gamma: float,
     """Train one binary machine on +/-1 labels; samples are columns.
 
     At most ``_MAX_SWEEPS * m`` pair updates are made on m samples."""
-    X = np.atleast_2d(np.asarray(features, dtype=float))
+    X = _samples(features)
     y = np.asarray(labels, dtype=float).ravel()
     m = X.shape[1]
     if y.size != m:
@@ -249,8 +272,9 @@ class MultiClassSvm:
 
 
 def _labelled(features, labels):
-    """Features as columns, labels as strings, and the sorted classes."""
-    X = np.atleast_2d(np.asarray(features, dtype=float))
+    """Finite features as columns, labels as strings, and the sorted
+    classes."""
+    X = _samples(features)
     labels = np.array([str(l) for l in labels])
     if labels.size != X.shape[1]:
         raise LengthMismatchError(f"{labels.size} labels for {X.shape[1]} "
@@ -288,14 +312,17 @@ def train_multiclass(features, labels, c_penalty: float,
 def _vote(F, pairs, classes) -> np.ndarray:
     """Winning label per column of F (one row of decision values per
     machine, whose +1 side is pairs[k][0]): most votes, then the largest
-    summed |f| over the machines won, then label order."""
-    # each machine adds to its first class, then its second, as a loop would
+    summed |f| over the machines won, then label order.
+
+    Each class's n - 1 machine sides are gathered in machine order, and
+    cumsum adds their margins in that order, as a loop over the machines
+    would, so margin ties break the same way."""
     who = np.array([classes.index(c) for pair in pairs for c in pair], int)
+    mine = np.argsort(who, kind="stable").reshape(len(classes), -1)
     won = F >= 0
-    sides = np.stack([won, ~won], 1).reshape(-1, F.shape[1])
-    votes, margin = np.zeros((2, len(classes), F.shape[1]))
-    np.add.at(votes, who, sides)
-    np.add.at(margin, who, np.where(sides, np.abs(F).repeat(2, 0), 0.0))
+    sides = np.stack([won, ~won], 1).reshape(2 * len(F), -1)[mine]
+    votes = sides.sum(1)
+    margin = np.where(sides, np.abs(F)[mine // 2], 0.0).cumsum(1)[:, -1]
     tied = votes == votes.max(0)
     tied &= margin == np.where(tied, margin, -np.inf).max(0)
     order = np.argsort(classes)
@@ -308,7 +335,7 @@ def predict_batch(model: MultiClassSvm, Z) -> list[str]:
     Vote ties go to the class with the largest summed |f| over the machines
     it won, then to lexicographic label order.
     """
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    Z = _samples(Z)
     for m in model.machines:
         if m.support_vectors.shape[0] != Z.shape[0]:
             raise ShapeMismatchError(
@@ -316,7 +343,7 @@ def predict_batch(model: MultiClassSvm, Z) -> list[str]:
                 f"on {m.support_vectors.shape[0]}")
     F = np.array([decision_values(m, Z) for m in model.machines])
     pairs = [m.class_pair for m in model.machines]
-    return _vote(F.reshape(-1, Z.shape[1]), pairs, model.classes).tolist()
+    return _vote(F, pairs, model.classes).tolist()
 
 
 def _stratified_folds(labels: np.ndarray, folds: int,
@@ -378,11 +405,8 @@ def grid_search_cv(features, labels, c_grid=None, gamma_grid=None,
     g_values = sorted(set(float(g) for g in gamma_grid))
     if not c_values or not g_values:
         raise ValueError("grids must be nonempty")
-    for name, values in (("C", c_values), ("gamma", g_values)):
-        bad = [v for v in values if not v > 0]
-        if bad:
-            raise ValueError(f"{name} grid values must be positive, "
-                             f"got {bad[0]:g}")
+    _require_positive("C grid values", c_values)
+    _require_positive("gamma grid values", g_values)
     X, labels, classes = _labelled(features, labels)
     fold_of = _stratified_folds(labels, folds, np.random.default_rng(seed))
     correct = _cv_correct(X, labels, classes, fold_of, c_values, g_values)

@@ -218,6 +218,113 @@ def svm_dual_pg(K, y, C, iters=200000, tol=1e-14):
     return a, 0.5 * float(a @ (Q @ a)) - float(a.sum())
 
 
+def svm_wss2(K, y, C, tol, cap):
+    """One binary dual solved by LIBSVM's SMO with second-order working-set
+    selection (Fan, Chen & Lin, JMLR 6, 2005), one scalar at a time.
+
+    Keeps the gradient G = Q a - 1 with Q_ts = y_t y_s K_ts.  Each update
+    takes i in I_up maximizing -y_i G_i, stops when that maximum minus the
+    minimum of -y_t G_t over I_low is at most tol (converged) or after cap
+    updates (not converged), else takes j in I_low with -y_j G_j < -y_i G_i
+    minimizing -b_ij^2 / a_ij, with b_ij = -y_i G_i + y_j G_j and
+    a_ij = K_ii + K_jj - 2 K_ij (1e-12 if not positive), and moves a_i and
+    a_j as LIBSVM's Solver::solve does.  Ties go to the lowest index.
+    The bias sets y_t f(x_t) = 1 on free samples, so b = y_t - y_t (G_t + 1)
+    averaged in sample order, else the midpoint of the interval the bound
+    samples leave; duals within 1e-12 C of a bound count as on it.
+    Returns (alpha, bias, converged).
+    """
+    K = np.asarray(K, dtype=float)
+    y = [float(t) for t in y]
+    m = len(y)
+    a, G = [0.0] * m, [-1.0] * m
+
+    def in_up(t):
+        return a[t] < C if y[t] > 0 else a[t] > 0
+
+    def in_low(t):
+        return a[t] < C if y[t] < 0 else a[t] > 0
+
+    updates = 0
+    while True:
+        i, top, bottom = -1, -np.inf, np.inf
+        for t in range(m):
+            if in_up(t) and -y[t] * G[t] > top:
+                i, top = t, -y[t] * G[t]
+            if in_low(t):
+                bottom = min(bottom, -y[t] * G[t])
+        converged = top - bottom <= tol
+        if converged or updates >= cap:
+            break
+        j, best = -1, np.inf
+        for t in range(m):
+            if in_low(t) and -y[t] * G[t] < top:
+                b = top - (-y[t] * G[t])
+                quad = K[i, i] + K[t, t] - 2.0 * K[i, t]
+                if quad <= 0:
+                    quad = 1e-12
+                if -(b * b) / quad < best:
+                    j, best = t, -(b * b) / quad
+        quad = K[i, i] + K[j, j] - 2.0 * K[i, j]
+        if quad <= 0:
+            quad = 1e-12
+        old_i, old_j = a[i], a[j]
+        if y[i] != y[j]:
+            delta = (-G[i] - G[j]) / quad
+            diff = a[i] - a[j]
+            a[i] += delta
+            a[j] += delta
+            if diff > 0:
+                if a[j] < 0:
+                    a[j], a[i] = 0.0, diff
+            elif a[i] < 0:
+                a[i], a[j] = 0.0, -diff
+            if diff > 0:
+                if a[i] > C:
+                    a[i], a[j] = C, C - diff
+            elif a[j] > C:
+                a[j], a[i] = C, C + diff
+        else:
+            delta = (G[i] - G[j]) / quad
+            total = a[i] + a[j]
+            a[i] -= delta
+            a[j] += delta
+            if total > C:
+                if a[i] > C:
+                    a[i], a[j] = C, total - C
+            elif a[j] < 0:
+                a[j], a[i] = 0.0, total
+            if total > C:
+                if a[j] > C:
+                    a[j], a[i] = C, total - C
+            elif a[i] < 0:
+                a[i], a[j] = 0.0, total
+        di, dj = a[i] - old_i, a[j] - old_j
+        for t in range(m):
+            G[t] += (y[i] * y[t] * K[i, t]) * di + (y[j] * y[t] * K[j, t]) * dj
+        updates += 1
+
+    free_sum, free, lo, hi = 0.0, 0, -np.inf, np.inf
+    for t in range(m):
+        if a[t] <= 1e-12 * C:
+            a[t] = 0.0
+        elif a[t] >= C - 1e-12 * C:
+            a[t] = C
+        r = y[t] - y[t] * (G[t] + 1.0)
+        if 0 < a[t] < C:
+            free_sum += r
+            free += 1
+        elif (a[t] == 0) == (y[t] > 0):     # y f(x) >= 1 bounds b below
+            lo = max(lo, r)
+        else:
+            hi = min(hi, r)
+    if free:
+        bias = free_sum / free
+    else:
+        lo, hi = (hi if lo == -np.inf else lo), (lo if hi == np.inf else hi)
+        bias = 0.5 * (lo + hi)
+    return np.array(a), bias, converged
+
 
 def svm_kkt_violations(machine, X, y):
     """Per-sample dual KKT violation of a binary machine on its training set.

@@ -9,13 +9,13 @@ import pytest
 from segdict import classifier
 from segdict.classifier import (MultiClassSvm, TrainedSvm, _cv_correct,
                                 _pair_problems, _smo_batch, _stratified_folds,
-                                decision_values, grid_search_cv,
+                                _vote, decision_values, grid_search_cv,
                                 predict_batch, rbf_gram, smo_train,
                                 train_multiclass)
 from segdict.errors import (ConvergenceWarning, InsufficientDataError,
                             SingleClassError)
 
-from oracles import svm_dual_pg, svm_kkt_violations
+from oracles import svm_dual_pg, svm_kkt_violations, svm_wss2
 
 
 def dual_objective_value(features, labels, alphas_signed, sv_idx, gamma):
@@ -238,6 +238,39 @@ def test_batch_of_mixed_c_equals_single_solves(monkeypatch):
         f"C={C[first]:g}, gamma=0.5)")
 
 
+@pytest.mark.parametrize("max_sweeps", [500, 2])
+def test_batch_equals_a_scalar_wss2_transcription(monkeypatch, max_sweeps):
+    # mixed sizes and boxes in one batch, the scalar solver per problem:
+    # duals, bias and outcome bit for bit; at 2 updates per sample about
+    # half the problems stop at the cap.  Features on an integer grid
+    # repeat, so selection ties and the curvature floor occur
+    rng = np.random.default_rng(16)
+    sizes = rng.integers(3, 19, size=24)
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    X = np.round(rng.normal(size=(2, int(sizes.sum()))))
+    idx = np.zeros((24, sizes.max()), dtype=int)
+    y = np.zeros(idx.shape)
+    for p, (s, m) in enumerate(zip(starts, sizes)):
+        idx[p, :m] = rng.permutation(np.arange(s, s + m))
+        y[p, :m] = np.where(rng.random(m) < 0.5, 1.0, -1.0)
+        y[p, 0], y[p, 1] = 1.0, -1.0
+    C = rng.choice([0.05, 0.5, 4.0, 64.0, 1000.0], size=24)
+    monkeypatch.setattr(classifier, "_MAX_SWEEPS", max_sweeps)
+    for gamma in (0.25, 2.0):
+        K = rbf_gram(X, X, gamma)
+        with warnings.catch_warnings(record=True):
+            alpha, bias, ok = _smo_batch(K, idx, y, C, gamma,
+                                         [("a", "b")] * 24)
+        for p, m in enumerate(sizes):
+            ix = idx[p, :m]
+            a1, b1, ok1 = svm_wss2(K[np.ix_(ix, ix)], y[p, :m], C[p],
+                                   0.9 * classifier._KKT_TOL, max_sweeps * m)
+            assert np.array_equal(alpha[p, :m], a1)
+            assert np.all(alpha[p, m:] == 0.0)
+            assert bias[p] == b1 and ok[p] == ok1
+        assert ok.all() if max_sweeps == 500 else 0 < np.sum(~ok) < 24
+
+
 def test_batch_rejects_a_non_positive_c_of_any_problem():
     X, labels = _blobs("abc", 6, seed=2)
     arr = np.array(labels)
@@ -248,6 +281,44 @@ def test_batch_rejects_a_non_positive_c_of_any_problem():
         with pytest.raises(ValueError, match=f"c_penalty must be positive, "
                                              f"got {shown}$"):
             _smo_batch(K, idx, y, C, 1.0, pairs)
+
+
+def test_infinite_c_or_gamma_is_rejected():
+    X, labels = _blobs("abc", 6, seed=2)
+    inf = float("inf")
+    calls = [
+        (lambda: grid_search_cv(X, labels, [1.0, inf], [0.5], folds=2),
+         "C grid values must be finite, got inf"),
+        (lambda: grid_search_cv(X, labels, [1.0], [inf], folds=2),
+         "gamma grid values must be finite, got inf"),
+        (lambda: grid_search_cv(X, labels, [-inf], [0.5], folds=2),
+         "C grid values must be positive, got -inf"),
+        (lambda: train_multiclass(X, labels, inf, 0.5),
+         "c_penalty must be finite, got inf"),
+        (lambda: train_multiclass(X, labels, 1.0, inf),
+         "gamma must be finite, got inf"),
+        (lambda: rbf_gram(X, X, inf), "gamma must be finite, got inf"),
+        (lambda: TrainedSvm(np.eye(2), [0.5, -0.5], 0.0, 0.5, inf, ("a", "b"),
+                            [0, 1]), "c_penalty must be finite, got inf"),
+        (lambda: TrainedSvm(np.eye(2), [0.5, -0.5], 0.0, inf, 1.0, ("a", "b"),
+                            [0, 1]), "gamma must be finite, got inf")]
+    for call, message in calls:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+
+
+def test_non_finite_features_are_rejected_naming_the_column():
+    X, labels = _blobs("abc", 6, seed=2)
+    model = train_multiclass(X, labels, 1.0, 0.5)
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        Y = X.copy()
+        Y[1, 2], Y[0, 7] = bad, bad
+        for call in (lambda: grid_search_cv(Y, labels, [1.0], [0.5], folds=2),
+                     lambda: train_multiclass(Y, labels, 1.0, 0.5),
+                     lambda: predict_batch(model, Y)):
+            with pytest.raises(ValueError,
+                               match="^column 2: features must be finite$"):
+                call()
 
 
 def _blobs(classes, per_class, seed):
@@ -372,26 +443,55 @@ def test_predict_unanimous_and_order_invariance():
 
 def _reference_vote(model, Z):
     """The per-column vote loop that predict_batch must agree with."""
-    n = Z.shape[1]
-    votes = {c: np.zeros(n) for c in model.classes}
-    margins = {c: np.zeros(n) for c in model.classes}
-    for machine in model.machines:
-        f = decision_values(machine, Z)
+    return _reference_vote_values(
+        [decision_values(m, Z) for m in model.machines],
+        [m.class_pair for m in model.machines], model.classes)
+
+
+def _reference_vote_values(F, pairs, classes):
+    """The vote loop on decision values, one row per machine."""
+    n = len(F[0])
+    votes = {c: np.zeros(n) for c in classes}
+    margins = {c: np.zeros(n) for c in classes}
+    for f, (a, b) in zip(F, pairs):
         first = f >= 0
-        a, b = machine.class_pair
         votes[a] += first
         votes[b] += ~first
         margins[a] += np.where(first, np.abs(f), 0.0)
         margins[b] += np.where(first, 0.0, np.abs(f))
     out = []
     for i in range(n):
-        best = max(votes[c][i] for c in model.classes)
-        tied = [c for c in model.classes if votes[c][i] == best]
+        best = max(votes[c][i] for c in classes)
+        tied = [c for c in classes if votes[c][i] == best]
         if len(tied) > 1:
             top = max(margins[c][i] for c in tied)
             tied = [c for c in tied if margins[c][i] == top]
         out.append(min(tied))
     return out
+
+
+def test_vote_matches_the_reference_loop_on_tie_heavy_values():
+    # 8 classes at the grid's shape (28 machines x 224 held-out columns),
+    # values rounded to 0.1 and zero in alternate columns, so vote and
+    # margin ties are common; grid pair order, then shuffled machines with
+    # some pairs flipped
+    classes = ["V", "N", "/", "A", "f", "F", "S", "R"]
+    rng = np.random.default_rng(17)
+    grid_pairs = list(combinations(sorted(classes), 2))
+    shuffled = [p if rng.random() < 0.5 else p[::-1]
+                for p in rng.permutation(grid_pairs).tolist()]
+    for pairs in (grid_pairs, [tuple(p) for p in shuffled]):
+        for trial in range(10):
+            F = np.round(rng.normal(scale=0.3, size=(28, 224)), 1)
+            F[:, ::2] = 0.0
+            won = _vote(F, pairs, sorted(classes))
+            assert won.tolist() == _reference_vote_values(F, pairs, classes)
+
+
+def test_predict_on_no_columns_returns_no_labels():
+    X, labels = _blobs("abc", 6, seed=2)
+    model = train_multiclass(X, labels, 1.0, 0.5)
+    assert predict_batch(model, np.zeros((3, 0))) == []
 
 
 def test_predict_vote_ties_match_reference_loop():
