@@ -99,8 +99,13 @@ class TrainedSvm:
 
 
 def decision_values(machine: TrainedSvm, Z) -> np.ndarray:
-    """f(z) = sum_i a_i y_i K(sv_i, z) + b for each column z of Z."""
-    Z = np.atleast_2d(np.asarray(Z, dtype=float))
+    """f(z) = sum_i a_i y_i K(sv_i, z) + b for each column z of Z; every
+    column must be finite."""
+    return _decisions(machine, _samples(Z))
+
+
+def _decisions(machine: TrainedSvm, Z: np.ndarray) -> np.ndarray:
+    """decision_values on a checked 2-D float Z."""
     if machine.alphas.size == 0:
         return np.full(Z.shape[1], machine.bias)
     K = rbf_gram(machine.support_vectors, Z, machine.gamma)
@@ -341,7 +346,7 @@ def predict_batch(model: MultiClassSvm, Z) -> list[str]:
             raise ShapeMismatchError(
                 f"features have {Z.shape[0]} rows, the model was trained "
                 f"on {m.support_vectors.shape[0]}")
-    F = np.array([decision_values(m, Z) for m in model.machines])
+    F = np.array([_decisions(m, Z) for m in model.machines])
     pairs = [m.class_pair for m in model.machines]
     return _vote(F, pairs, model.classes).tolist()
 

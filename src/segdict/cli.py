@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .classifier import (DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, grid_search_cv,
-                         predict_batch, train_multiclass)
+from .classifier import (DEFAULT_C_GRID, DEFAULT_GAMMA_GRID, _require_positive,
+                         grid_search_cv, predict_batch, train_multiclass)
 from .beat_model import BeatMatrix, SegmentSpec
 from .dict_learner import TrainConfig, encode_beats, train_segment_dictionaries
 from .errors import ConfigError, SegdictError
@@ -64,10 +64,10 @@ class RunConfig:
         if not self.c_grid or not self.gamma_grid:
             raise ConfigError("svm grids must be nonempty")
         for name in ("c_grid", "gamma_grid"):
-            bad = [v for v in getattr(self, name) if not v > 0]
-            if bad:
-                raise ConfigError(f"{name} values must be positive, "
-                                  f"got {bad[0]:g}")
+            try:        # the rule grid_search_cv applies: finite and > 0
+                _require_positive(f"{name} values", getattr(self, name))
+            except ValueError as exc:
+                raise ConfigError(str(exc)) from None
 
     def train_config(self, seed: int | None = None) -> TrainConfig:
         return TrainConfig(k=self.k, lam=self.lam, outer_iters=self.outer_iters,

@@ -30,17 +30,19 @@ support and signs.
 Feature-sign search runs on a block in lockstep: each round applies the
 next step of the method to every unfinished column of the block at once.
 The sign-constrained systems of a round are one stack of k x k systems
-with identity rows on the inactive coordinates, and all line-search
-candidates of the block are scored together.  Every per-column product,
-in FISTA and in the search, is its own item of a stacked ``np.matmul`` or
-of a batched ``np.linalg`` call, never one product over the block, so a
-column's code is bit for bit the same whichever columns share its block.
-An active set whose factorization fails, or whose pivots spread more than
-_PIVOT_RTOL apart, is factored once more with a small ridge on its active
-diagonal, in the same stack.  A column that stalls (its line search cannot
-decrease the objective) or takes _MAX_STEPS steps keeps its last iterate,
-and each call warns once per kind of stop with the number of such columns
-and the first one.
+with identity rows on the inactive coordinates.  All line-search
+candidates of the block are scored together, each by the objective's exact
+change from the column's point: a quadratic in the step length from the
+round's gradient, plus the candidate's own l1 term.  Every per-column
+product, in FISTA and in the search, is its own item of a stacked
+``np.matmul`` or of a batched ``np.linalg`` call, never one product over
+the block, so a column's code is bit for bit the same whichever columns
+share its block.  An active set whose factorization fails, or whose pivots
+spread more than _PIVOT_RTOL apart, is factored once more with a small
+ridge on its active diagonal, in the same stack.  A column that stalls
+(every candidate raises the objective) or takes _MAX_STEPS steps keeps its
+last iterate, and each call warns once per kind of stop with the number of
+such columns and the first one.
 """
 
 from __future__ import annotations
@@ -120,14 +122,13 @@ def _encode(D: np.ndarray, Y: np.ndarray, lam: float,
         cols = np.arange(first, min(first + _BLOCK, n))
         Yr = Y.T[cols]                 # one C-contiguous row per column
         Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
-        yty = np.matmul(Yr[:, None, :], Yr[:, :, None])[:, 0, 0]
         if not positive_definite:
             x0 = np.zeros_like(Dty)
         elif start is None:
             x0 = _fista(G, Dty, lam, 1.0 / ev[-1])
         else:
             x0 = np.ascontiguousarray(start.T[cols])
-        X[:, cols], outcome[cols] = _solve_block(G, Dty, yty, lam, cols, x0)
+        X[:, cols], outcome[cols] = _solve_block(G, Dty, lam, cols, x0)
     for kind, what in (
             (_STALLED, "stalled (the line search could not decrease the "
                        "objective)"),
@@ -155,24 +156,23 @@ def _fista(G: np.ndarray, Dty: np.ndarray, lam: float, step: float
     return x
 
 
-def _solve_block(G: np.ndarray, Dty: np.ndarray, yty: np.ndarray,
-                 lam: float, cols: np.ndarray, X: np.ndarray
+def _solve_block(G: np.ndarray, Dty: np.ndarray, lam: float,
+                 cols: np.ndarray, X: np.ndarray
                  ) -> tuple[np.ndarray, np.ndarray]:
     """Feature-sign search in lockstep from the rows of X, which it
-    overwrites, one row per column: D^T y in Dty, y^T y in yty and the
-    column's index in the caller's input in `cols`.
+    overwrites, one row per column: D^T y in Dty and the column's index in
+    the caller's input in `cols`.
 
     Each round takes every unfinished column through one step of the
     single-column method.  A column that meets the optimality conditions
     leaves as converged if it stands at zero or at a full step; anywhere
     else (a nonzero start or a sign crossing) it is solved once more on its
     own support and signs, so its code is that exact solve.  A column whose
-    line search cannot decrease the objective leaves as stalled, unless it
-    met the conditions and takes the full step.  Returns the k x m codes and
-    each column's outcome.
+    best line-search candidate raises the objective (a positive change)
+    leaves as stalled, unless it met the conditions and takes the full
+    step.  Returns the k x m codes and each column's outcome.
     """
     m = len(X)
-    cur = _objective(G, X[:, None, :], Dty, yty, lam)[:, 0]
     exact = ~X.any(axis=1)             # at zero or at a full step
     outcome = np.full(m, _MAX_ITER)
     todo = np.arange(m)
@@ -201,16 +201,15 @@ def _solve_block(G: np.ndarray, Dty: np.ndarray, yty: np.ndarray,
             break
         x_new = _solve_active_sets(G, active, Dty[todo] - lam * theta,
                                    cols[todo])
-        best, obj, full = _line_search(G, x, x_new, Dty[todo], yty[todo], lam)
-        # stalled: no candidate decreases the objective at this tolerance.
-        # A column that met the conditions and takes the full step lands on
-        # its exact solve, whatever rounding does to the objective.
-        tol = 1e-12 * np.maximum(1.0, np.abs(cur[todo]))
-        stalled = (obj > cur[todo] + tol) & ~(opt & full)
+        best, change, full = _line_search(G, x, x_new, grad[step], lam)
+        # stalled: every candidate raises the objective.  A column that met
+        # the conditions and takes the full step lands on its exact solve,
+        # whatever rounding does to the change.
+        stalled = (change > 0.0) & ~(opt & full)
         outcome[todo[stalled]] = _STALLED
         keep = ~stalled
         todo = todo[keep]
-        X[todo], cur[todo], exact[todo] = best[keep], obj[keep], full[keep]
+        X[todo], exact[todo] = best[keep], full[keep]
     return X.T, outcome
 
 
@@ -279,14 +278,17 @@ def _cholesky_solve(L: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _line_search(G: np.ndarray, x: np.ndarray, x_new: np.ndarray,
-                 Dty: np.ndarray, yty: np.ndarray, lam: float
+                 grad: np.ndarray, lam: float
                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Best point, its objective, and whether it is the full step, among
-    the full step from x to x_new and the sign crossings in (0, 1) on the
-    way, taken in that order with the first minimum winning.
+    """Best point, its change in the objective from x, and whether it is
+    the full step, among the full step from x to x_new and the sign
+    crossings in (0, 1) on the way, taken in that order with the first
+    minimum winning.
 
-    Every row gets k + 1 candidate slots, the unused ones scored +inf, so
-    the arrays have the same shape whichever columns share the block.
+    Along x + t*delta, delta = x_new - x, the smooth part changes by
+    t*grad^T delta + t^2/2 * delta^T G delta, grad its gradient at x.  Each
+    row gets k + 1 candidate slots, the unused ones scored +inf, so the
+    arrays have the same shape whichever columns share the block.
     """
     s, k = x.shape
     delta = x_new - x
@@ -300,21 +302,17 @@ def _line_search(G: np.ndarray, x: np.ndarray, x_new: np.ndarray,
     P[:, 0] = x_new                    # the exact solve, not x + delta
     idx = np.arange(k)
     P[:, 1 + idx, idx] = 0.0           # a crossing lands on zero
-    obj = _objective(G, P, Dty, yty, lam)
-    obj[:, 1:][~crossing] = np.inf
+    slope = np.matmul(grad[:, None, :], delta[:, :, None])[:, 0, 0]
+    curve = np.matmul(np.matmul(delta[:, None, :], G),
+                      delta[:, :, None])[:, 0, 0]
+    l1 = np.matmul(np.abs(P), np.ones(k))
+    # one stacked item per row, so no column's bits depend on its block
+    l1 -= np.matmul(np.abs(x)[:, None, :], np.ones(k))
+    change = T * (slope[:, None] + 0.5 * T * curve[:, None]) + lam * l1
+    change[:, 1:][~crossing] = np.inf
     rows = np.arange(s)
-    pick = np.argmin(obj, axis=1)
-    return P[rows, pick], obj[rows, pick], pick == 0
-
-
-def _objective(G: np.ndarray, P: np.ndarray, Dty: np.ndarray,
-               yty: np.ndarray, lam: float) -> np.ndarray:
-    """Per row r and candidate c, the objective at the point P[r, c]."""
-    PG = np.matmul(P, G)
-    quad = np.matmul(PG[:, :, None, :], P[:, :, :, None])[..., 0, 0]
-    lin = np.matmul(P, Dty[:, :, None])[..., 0]
-    l1 = np.matmul(np.abs(P, out=PG), np.ones(P.shape[2]))
-    return 0.5 * quad - lin + 0.5 * yty[:, None] + lam * l1
+    pick = np.argmin(change, axis=1)
+    return P[rows, pick], change[rows, pick], pick == 0
 
 
 def coding_objective(D, Y, X, lam: float) -> float:

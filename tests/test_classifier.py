@@ -218,7 +218,8 @@ def test_batch_of_mixed_c_equals_single_solves(monkeypatch):
     with pytest.warns(ConvergenceWarning) as caught:
         alpha, bias, ok = _smo_batch(K, idx, y, C, 0.5, pairs)
     updates = []
-    with warnings.catch_warnings(record=True):
+    with warnings.catch_warnings(record=True) as single:
+        warnings.simplefilter("always")
         for p, m in enumerate(sizes):
             count = []
             a1, b1, ok1 = _smo_batch(K, idx[p:p + 1, :m], y[p:p + 1, :m],
@@ -229,6 +230,8 @@ def test_batch_of_mixed_c_equals_single_solves(monkeypatch):
             assert np.all(alpha[p, m:] == 0.0)
             assert bias[p] == b1[0] and ok[p] == ok1[0]
     assert min(updates) <= 5 and max(updates) >= 80
+    # each single solve that stops at the cap warns once
+    assert [w.category for w in single] == [ConvergenceWarning] * np.sum(~ok)
     assert np.any(updates == 4 * sizes) and 0 < np.sum(~ok) < 30
     # the warning names the first unconverged machine's own C
     first = np.argmin(ok)
@@ -258,9 +261,12 @@ def test_batch_equals_a_scalar_wss2_transcription(monkeypatch, max_sweeps):
     monkeypatch.setattr(classifier, "_MAX_SWEEPS", max_sweeps)
     for gamma in (0.25, 2.0):
         K = rbf_gram(X, X, gamma)
-        with warnings.catch_warnings(record=True):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
             alpha, bias, ok = _smo_batch(K, idx, y, C, gamma,
                                          [("a", "b")] * 24)
+        assert [w.category for w in caught] == (
+            [] if ok.all() else [ConvergenceWarning])
         for p, m in enumerate(sizes):
             ix = idx[p, :m]
             a1, b1, ok1 = svm_wss2(K[np.ix_(ix, ix)], y[p, :m], C[p],
@@ -319,6 +325,25 @@ def test_non_finite_features_are_rejected_naming_the_column():
             with pytest.raises(ValueError,
                                match="^column 2: features must be finite$"):
                 call()
+
+
+def test_decision_values_rejects_non_finite_columns(monkeypatch):
+    machine = smo_train(np.array([[0.0, 1.0, 2.0, 3.0]]), [1, 1, -1, -1],
+                        1.0, 0.5)
+    for bad in (float("nan"), float("inf")):
+        with pytest.raises(ValueError,
+                           match="^column 1: features must be finite$"):
+            decision_values(machine, [[0.5, bad, float("inf")]])
+    # predict_batch checks its input once, not once per machine
+    X, labels = _blobs("abc", 6, seed=2)
+    model = train_multiclass(X, labels, 1.0, 0.5)
+    checked = []
+    samples = classifier._samples
+    monkeypatch.setattr(classifier, "_samples",
+                        lambda Z: checked.append(1) or samples(Z))
+    assert len(model.machines) == 3
+    assert predict_batch(model, X) == labels
+    assert len(checked) == 1
 
 
 def _blobs(classes, per_class, seed):

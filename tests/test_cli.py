@@ -252,6 +252,29 @@ def test_config_rejects_non_positive_grid_values(tmp_path):
             load_config(cfg)
 
 
+def test_config_rejects_infinite_grid_values(tmp_path, capsys, monkeypatch):
+    # the grid's finite-and-positive rule holds when the file is loaded,
+    # before run-experiment reads any beat
+    from segdict import cli
+
+    def no_load(cfg):
+        raise AssertionError("the beats were loaded before the config check")
+
+    monkeypatch.setattr(cli, "_load_beats", no_load)
+    cfg = tmp_path / "bad.cfg"
+    for line, bad in (("c_grid = 1, inf", "c_grid values must be finite, "
+                                          "got inf"),
+                      ("gamma_grid = 0.5,-inf",
+                       "gamma_grid values must be positive, got -inf")):
+        cfg.write_text("dataset_path = beats.csv\ntrain_counts = a:1\n"
+                       + line + "\n", encoding="utf-8")
+        with pytest.raises(ConfigError, match=f"^{bad}$"):
+            load_config(cfg)
+        assert run(["run-experiment", "--config", cfg,
+                    "--method", "fft"]) == 1
+        assert capsys.readouterr().err == f"error [run-experiment]: {bad}\n"
+
+
 def test_config_rejects_repeated_train_counts_label(tmp_path):
     cfg = tmp_path / "bad.cfg"
     cfg.write_text("train_counts = c1:5,c2:3, c1 :7\n", encoding="utf-8")

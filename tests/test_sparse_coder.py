@@ -239,9 +239,8 @@ def test_an_optimal_start_ends_on_its_exact_solve():
     X = batch_encode(D, Y, 0.1)
     Yr = Y.T.copy()
     Dty = np.matmul(Yr[:, None, :], D)[:, 0, :]
-    yty = np.matmul(Yr[:, None, :], Yr[:, :, None])[:, 0, 0]
     start = X.T * (1.0 + 1e-13 * rng.uniform(-1.0, 1.0, size=X.T.shape))
-    codes, outcome = sparse_coder._solve_block(D.T @ D, Dty, yty, 0.1,
+    codes, outcome = sparse_coder._solve_block(D.T @ D, Dty, 0.1,
                                                np.arange(40), start)
     assert np.all(outcome == sparse_coder._CONVERGED)
     assert np.array_equal(codes, X)
@@ -367,24 +366,49 @@ def near_duplicate_atoms():
     return D, 60.0 * rng.normal(size=(6, 40)), 4e-4
 
 
-def test_warnings_count_stalled_and_max_iter_columns(monkeypatch):
-    # from zero, some line searches cannot decrease the objective at the
-    # relative tolerance of the stall test
-    D, Y, lam = near_duplicate_atoms()
-    single = ("feature-sign search stalled (the line search could not "
-              "decrease the objective) on 1 of 1 columns (first: column 0)")
-    with monkeypatch.context() as m:
-        m.setattr(sparse_coder, "_GUESS_STEPS", 0)
-        alone = [warning_messages(encode_one, D, Y[:, i], lam)
-                 for i in range(40)]
-        stalled = [i for i, caught in enumerate(alone) if caught == [single]]
-        assert stalled
-        assert all(caught in ([], [single]) for caught in alone)
-        assert warning_messages(batch_encode, D, Y, lam) == [
-            "feature-sign search stalled (the line search could not "
-            f"decrease the objective) on {len(stalled)} of 40 columns "
-            f"(first: column {stalled[0]})"]
+def near_optimal_start(seed):
+    # atom 1 is atom 0 plus 1e-3 noise (gram condition 1e6 to 4e7), large
+    # data, and a start at the cold codes nudged by 1e-12, as the
+    # dictionary fit's warm start is once the fit settles
+    rng = np.random.default_rng(seed)
+    D = rng.normal(size=(6, 4))
+    D[:, 1] = D[:, 0] + 1e-3 * rng.normal(size=6)
+    D /= np.linalg.norm(D, axis=0)
+    Y = 100.0 * rng.normal(size=(6, 50))
+    cold = batch_encode(D, Y, 0.01)
+    start = cold * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, size=cold.shape))
+    return D, Y, 0.01, start
 
+
+def warm_encode_with_warnings(D, Y, lam, start):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        X = batch_encode(D, Y, lam, start=start)
+    return X, [str(w.message) for w in caught
+               if issubclass(w.category, ConvergenceWarning)]
+
+
+def stall_message(count, n, first):
+    return ("feature-sign search stalled (the line search could not "
+            f"decrease the objective) on {count} of {n} columns (first: "
+            f"column {first})")
+
+
+def test_warnings_count_stalled_and_max_iter_columns(monkeypatch):
+    # from a near-optimal start, some line searches cannot decrease the
+    # objective
+    D, Y, lam, start = near_optimal_start(0)
+    single = stall_message(1, 1, 0)
+    alone = [warm_encode_with_warnings(D, Y[:, i:i + 1], lam,
+                                       start[:, i:i + 1])[1]
+             for i in range(50)]
+    stalled = [i for i, caught in enumerate(alone) if caught == [single]]
+    assert stalled
+    assert all(caught in ([], [single]) for caught in alone)
+    assert warm_encode_with_warnings(D, Y, lam, start)[1] == [
+        stall_message(len(stalled), 50, stalled[0])]
+
+    D, Y, lam = near_duplicate_atoms()
     Y[:, :2] = 0.0   # optimal at the start, before any step
     monkeypatch.setattr(sparse_coder, "_MAX_STEPS", 1)
     assert warning_messages(batch_encode, D, Y, lam) == [
@@ -392,9 +416,39 @@ def test_warnings_count_stalled_and_max_iter_columns(monkeypatch):
         "columns (first: column 2)"]
 
 
+def test_a_near_optimal_start_stalls_alike_in_any_block():
+    # the stalls of a warm batch are those of its one-column calls, and
+    # every column of the batch is its one-column call bit for bit: each
+    # per-column product of the line search is its own stacked item
+    for seed in range(10):
+        D, Y, lam, start = near_optimal_start(seed)
+        warm, caught = warm_encode_with_warnings(D, Y, lam, start)
+        stalled = []
+        for i in range(50):
+            one, alone = warm_encode_with_warnings(D, Y[:, i:i + 1], lam,
+                                                   start[:, i:i + 1])
+            assert np.array_equal(one[:, 0], warm[:, i])
+            assert alone in ([], [stall_message(1, 1, 0)])
+            stalled += [i] if alone else []
+        assert caught == ([stall_message(len(stalled), 50, stalled[0])]
+                          if stalled else [])
+
+
+def test_no_column_stalls_from_zero_on_near_duplicate_atoms(monkeypatch):
+    # from zero too, every column reaches optimality: the line search
+    # scores the objective's exact change along the step, so the rounding
+    # of a large objective cannot stop it short
+    monkeypatch.setattr(sparse_coder, "_GUESS_STEPS", 0)
+    D, Y, lam = near_duplicate_atoms()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ConvergenceWarning)
+        X = batch_encode(D, Y, lam)
+    for i in range(40):
+        assert lasso_kkt_violation(D, Y[:, i], X[:, i], lam) <= 1e-6
+
+
 def test_fista_start_reaches_optimality_on_near_duplicate_atoms():
-    # the columns that stall from zero reach optimality from FISTA's
-    # iterate
+    # from FISTA's iterate, as from zero, every column reaches optimality
     D, Y, lam = near_duplicate_atoms()
     with warnings.catch_warnings():
         warnings.simplefilter("error", ConvergenceWarning)
