@@ -66,19 +66,15 @@ def _sq_dists(points: np.ndarray, centers: np.ndarray) -> np.ndarray:
     # points n x d, centers k x d -> n x k squared distances, computed
     # directly (no expansion trick) so distortion bookkeeping stays exact,
     # about _DIFF_BLOCK differences at a time (81 rows at k=16, d=50).
-    # numpy sums each distance in the order it would for the whole array
-    # only while a block has two rows or more, so a last row left alone
-    # joins the block before it
+    # Each block's differences are laid out C-ordered, so every distance is
+    # summed in one order whatever the layout of points and its block
     n = points.shape[0]
     k, d = centers.shape
-    rows = max(2, _DIFF_BLOCK // max(1, k * d))
+    rows = max(1, _DIFF_BLOCK // max(1, k * d))
     out = np.empty((n, k))
-    lo = 0
-    while lo < n:
-        hi = lo + rows if n - lo > rows + 1 else n
-        diff = points[lo:hi, None, :] - centers[None, :, :]
-        np.einsum("nkd,nkd->nk", diff, diff, out=out[lo:hi])
-        lo = hi
+    for lo in range(0, n, rows):
+        diff = np.subtract(points[lo:lo + rows, None, :], centers, order="C")
+        np.einsum("nkd,nkd->nk", diff, diff, out=out[lo:lo + rows])
     return out
 
 
@@ -91,16 +87,15 @@ def _seed_kmeanspp(points: np.ndarray, k: int, rng: np.random.Generator) -> np.n
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
     centers[0] = points[int(rng.integers(n))]
-    d2 = np.sum((points - centers[0]) ** 2, axis=1)
+    d2 = _sq_dists(points, centers[:1])[:, 0]
     for i in range(1, k):
         total = d2.sum()
         if total > 0.0:
             idx = int(rng.choice(n, p=d2 / total))
-        else:
-            remaining = np.flatnonzero(d2 >= 0)  # all points coincide with centers
-            idx = int(rng.choice(remaining))
+        else:  # every point coincides with a center
+            idx = int(rng.integers(n))
         centers[i] = points[idx]
-        d2 = np.minimum(d2, np.sum((points - centers[i]) ** 2, axis=1))
+        d2 = np.minimum(d2, _sq_dists(points, centers[i:i + 1])[:, 0])
     return centers
 
 
@@ -133,11 +128,11 @@ def kmeans_train(segments, k: int, seeding: str = "kmeanspp", seed: int = 0,
     for _ in range(_LLOYD_MAX):
         d2 = _sq_dists(points, centers)
         assign = np.argmin(d2, axis=1)  # ties go to the lowest center index
-        distortions.append(float(d2[np.arange(n), assign].sum()))
+        own = d2[np.arange(n), assign]
+        distortions.append(float(own.sum()))
         if prev_assign is not None and np.array_equal(assign, prev_assign):
             break
         prev_assign = assign
-        own = d2[np.arange(n), assign].copy()
         for c in range(k):
             members = assign == c
             if members.any():

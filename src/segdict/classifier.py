@@ -105,7 +105,11 @@ def decision_values(machine: TrainedSvm, Z) -> np.ndarray:
 
 
 def _decisions(machine: TrainedSvm, Z: np.ndarray) -> np.ndarray:
-    """decision_values on a checked 2-D float Z."""
+    """decision_values on a finite 2-D float Z; checks its row count."""
+    if machine.support_vectors.shape[0] != Z.shape[0]:
+        raise ShapeMismatchError(
+            f"features have {Z.shape[0]} rows, the model was trained on "
+            f"{machine.support_vectors.shape[0]}")
     if machine.alphas.size == 0:
         return np.full(Z.shape[1], machine.bias)
     K = rbf_gram(machine.support_vectors, Z, machine.gamma)
@@ -341,11 +345,6 @@ def predict_batch(model: MultiClassSvm, Z) -> list[str]:
     it won, then to lexicographic label order.
     """
     Z = _samples(Z)
-    for m in model.machines:
-        if m.support_vectors.shape[0] != Z.shape[0]:
-            raise ShapeMismatchError(
-                f"features have {Z.shape[0]} rows, the model was trained "
-                f"on {m.support_vectors.shape[0]}")
     F = np.array([_decisions(m, Z) for m in model.machines])
     pairs = [m.class_pair for m in model.machines]
     return _vote(F, pairs, model.classes).tolist()

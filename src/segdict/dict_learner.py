@@ -48,9 +48,8 @@ from typing import Callable
 import numpy as np
 from numpy.linalg import LinAlgError
 
-from .beat_model import (ATOM_NORM_SLACK, BeatMatrix, SegmentDictionary,
-                         SegmentSpec, SparseCodeMatrix, segment_view,
-                         stack_dictionaries)
+from .beat_model import (BeatMatrix, SegmentDictionary, SegmentSpec,
+                         SparseCodeMatrix, segment_view, stack_dictionaries)
 from .errors import (ConvergenceWarning, InsufficientDataError, SegdictError,
                      ShapeMismatchError)
 from .sparse_coder import batch_encode, coding_objective
@@ -231,13 +230,13 @@ def lagrange_dual_update(X, Y, *, segment_index: int = 1,
     """One dictionary update for fixed codes X against data Y.
 
     Rows of X that are identically zero (unused atoms) are excluded from the
-    dual system; their atoms come back as data columns drawn by rng
-    (default_rng(0) if None), with dual variable 0.  Newton starts from 1 on
-    every atom, or, given a warm `start` (the previous update's state), from
-    start.lam on the atoms in use whose start value is positive.  Warns
-    (ConvergenceWarning) when Newton stops at _NEWTON_MAX, and when the
-    feasibility guard runs out of corrections with an atom still over unit
-    norm.
+    dual system; their atoms come back as normalized nonzero data columns
+    drawn by rng (default_rng(0) if None), with dual variable 0.  Newton
+    starts from 1 on every atom, or, given a warm `start` (the previous
+    update's state), from start.lam on the atoms in use whose start value
+    is positive.  Warns (ConvergenceWarning) when Newton stops at
+    _NEWTON_MAX, and when the feasibility guard runs out of corrections
+    with an atom still over unit norm.
     """
     X = np.asarray(X, dtype=float)
     Y = np.asarray(Y, dtype=float)
@@ -280,18 +279,12 @@ def lagrange_dual_update(X, Y, *, segment_index: int = 1,
 
     if rng is None:
         rng = np.random.default_rng(0)
-    used_mask = np.zeros(k, dtype=bool)
-    used_mask[used] = True
-    norms = np.linalg.norm(atoms, axis=0)
-    for kappa in np.flatnonzero(~used_mask & (norms < 1.0 - ATOM_NORM_SLACK)):
-        for _ in range(100):
-            col = Y[:, int(rng.integers(Y.shape[1]))]
-            nrm = np.linalg.norm(col)
-            if nrm > 0.0:
-                atoms[:, kappa] = col / nrm
-                break
-        else:
+    nonzero = np.flatnonzero(Y.any(axis=0))
+    for kappa in np.setdiff1d(np.arange(k), used):
+        if nonzero.size == 0:
             raise InsufficientDataError("no nonzero data column to refresh atom")
+        col = Y[:, nonzero[rng.integers(nonzero.size)]]
+        atoms[:, kappa] = col / np.linalg.norm(col)
 
     return SegmentDictionary(atoms, segment_index), DualState(lam_full, tuple(history))
 

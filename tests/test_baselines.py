@@ -129,12 +129,11 @@ def test_assign_codes_matches_linear_scan():
 @pytest.mark.parametrize("extra", [3, 1])
 @pytest.mark.parametrize("layout", ["rows", "columns"])
 def test_blocked_sq_dists_equal_the_unblocked_formula(k, extra, layout):
-    # two whole blocks and a part; a part of one row joins the block before
-    # it. "columns" is the layout assign_codes and kmeans_train pass, the
-    # transpose of a d x n slice of a beat matrix, on which numpy sums
-    # each distance in another order than on C-ordered rows
+    # two whole blocks and a part. "columns" is the layout assign_codes and
+    # kmeans_train pass, the transpose of a d x n slice of a beat matrix;
+    # every layout and every block must give the bits of C-ordered rows
     d = 50
-    block = max(2, baselines._DIFF_BLOCK // (k * d))
+    block = max(1, baselines._DIFF_BLOCK // (k * d))
     n = 2 * block + extra
     rng = np.random.default_rng(k + extra)
     if layout == "rows":
@@ -142,9 +141,29 @@ def test_blocked_sq_dists_equal_the_unblocked_formula(k, extra, layout):
     else:
         points = rng.normal(size=(3 * d, n))[d:2 * d].T
     centers = rng.normal(size=(d, k)).T.copy()
-    diff = points[:, None, :] - centers[None, :, :]     # all n rows at once
+    rows = np.ascontiguousarray(points)
+    diff = rows[:, None, :] - centers[None, :, :]       # all n rows at once
     want = np.einsum("nkd,nkd->nk", diff, diff)
-    assert _sq_dists(points, centers).tobytes() == want.tobytes()
+    got = _sq_dists(points, centers)
+    assert got.tobytes() == want.tobytes()
+    assert _sq_dists(rows, centers).tobytes() == want.tobytes()
+    for i in (0, block, n - 1):                         # a row on its own
+        one = _sq_dists(points[i:i + 1], centers)
+        assert one.tobytes() == got[i:i + 1].tobytes()
+
+
+@pytest.mark.parametrize("seeding", ["kmeanspp", "random"])
+def test_vq_fit_and_codes_do_not_depend_on_the_memory_layout(seeding):
+    rng = np.random.default_rng(27)
+    for d, n, k in ((50, 400, 16), (7, 120, 5), (23, 61, 9)):
+        Y = rng.normal(size=(3 * d, n))[d:2 * d]        # a d x n row slice
+        cb = kmeans_train(Y, k, seeding, seed=3)
+        other = kmeans_train(np.asfortranarray(Y), k, seeding, seed=3)
+        assert cb.centers.tobytes() == other.centers.tobytes()
+        assert cb.distortions == other.distortions
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            assert np.array_equal(assign_codes(cb, layout(Y)),
+                                  assign_codes(cb, Y))
 
 
 def test_vq_encode_centers_round_trip():

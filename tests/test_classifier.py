@@ -13,7 +13,7 @@ from segdict.classifier import (MultiClassSvm, TrainedSvm, _cv_correct,
                                 predict_batch, rbf_gram, smo_train,
                                 train_multiclass)
 from segdict.errors import (ConvergenceWarning, InsufficientDataError,
-                            SingleClassError)
+                            ShapeMismatchError, SingleClassError)
 
 from oracles import svm_dual_pg, svm_kkt_violations, svm_wss2
 
@@ -344,6 +344,17 @@ def test_decision_values_rejects_non_finite_columns(monkeypatch):
     assert len(model.machines) == 3
     assert predict_batch(model, X) == labels
     assert len(checked) == 1
+
+
+def test_decision_values_and_predict_batch_check_the_row_count():
+    machine = smo_train(np.array([[0.0, 1.0, 2.0, 3.0]]), [1, 1, -1, -1],
+                        1.0, 0.5)
+    model = MultiClassSvm((machine,), machine.class_pair)
+    msg = "^features have 2 rows, the model was trained on 1$"
+    for call in (lambda Z: decision_values(machine, Z),
+                 lambda Z: predict_batch(model, Z)):
+        with pytest.raises(ShapeMismatchError, match=msg):
+            call(np.zeros((2, 3)))
 
 
 def _blobs(classes, per_class, seed):

@@ -152,6 +152,35 @@ def test_dual_update_refreshes_unused_atoms():
     assert dual.lam[1] == 0.0 and dual.lam[2] == 0.0
 
 
+def test_dual_update_refreshes_from_the_one_nonzero_column():
+    # one nonzero column among 5,000: every unused atom is drawn from it
+    Y = np.zeros((5, 5000))
+    Y[:, 17] = 1.0
+    X = np.zeros((4, 5000))
+    X[0, 17] = 1.0
+    D, dual = lagrange_dual_update(X, Y)
+    assert np.array_equal(D.atoms[:, 1:],
+                          np.full((5, 3), 1.0 / np.linalg.norm(Y[:, 17])))
+    assert np.all(dual.lam[1:] == 0.0)
+
+
+def test_dual_update_reaches_the_optimum_on_rank_deficient_codes():
+    # 5 atoms on 7 columns, rank 4: a Newton direction can fail to ascend,
+    # and only the gradient-ascent retry carries the dual to the optimum
+    rng = np.random.default_rng(2026)
+    X = rng.normal(size=(5, 7)) * (rng.random((5, 7)) < 0.4)
+    X[4] = 0.0
+    X[4, 0] = rng.normal()
+    Y = rng.normal(size=(30, 7))
+    assert np.linalg.matrix_rank(X) == 4
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        D, _ = lagrange_dual_update(X, Y)
+    _, oracle_obj = constrained_lsq_pg(Y, X)
+    ours = float(np.sum((Y - D.atoms @ X) ** 2))
+    assert abs(ours - oracle_obj) <= 1e-9 * oracle_obj
+
+
 def test_dual_update_requires_a_used_atom():
     with pytest.raises(InsufficientDataError):
         lagrange_dual_update(np.zeros((2, 3)), np.ones((2, 3)))
