@@ -144,9 +144,10 @@ def _smo_batch(K, idx, y, C, gamma, pairs, on_step=None):
     updates per sample.  A problem leaves the batch as it stops; its
     arithmetic is elementwise and the update count is shared, so its
     duals, bias and outcome do not depend on the batch.
-    A step works on v = -y * g for the dual gradient g, which is exact for
-    labels +/-1, and changes WSS2's index sets I_up and I_low only at the
-    two duals it updates.
+    A step works on v = -y * g for the dual gradient g and on the signed
+    duals s = y * a, both exact for labels +/-1.  The box on s is [0, C]
+    for y = +1 and [-C, 0] for y = -1, so WSS2's index sets are
+    I_up = {s < hi} and I_low = {s > lo}, with bounds set once per problem.
     on_step(alpha, bias estimate) is called after every update of a
     one-problem batch."""
     C = np.broadcast_to(np.asarray(C, dtype=float), y.shape[:1])
@@ -154,35 +155,36 @@ def _smo_batch(K, idx, y, C, gamma, pairs, on_step=None):
     alpha, G = np.empty(y.shape), np.empty(y.shape)
     converged = np.empty(y.shape[0], dtype=bool)
     flat, n = K.ravel(), K.shape[1]
-    # the live batch: each problem's row in the outputs, then its duals a,
-    # v = -y * g (padding's v is never read), I_up and I_low as 0 inside
-    # and -inf / +inf outside, and its labels, indices, box, diagonal and
-    # cap.  At a = 0, I_up holds the positive samples and I_low the
-    # negative ones; padding is in neither
+    # the live batch: each problem's row in the outputs, then its signed
+    # duals s, v = -y * g (padding's v is never read), the bounds of s
+    # (+inf / -inf on padding, so it is in neither index set), and its
+    # labels, indices, box, diagonal and cap
     live = np.arange(y.shape[0])
-    a, v = np.zeros(y.shape), y.astype(float)
-    up, low = np.where(y > 0, 0.0, -np.inf), np.where(y < 0, 0.0, np.inf)
+    s, v = np.zeros(y.shape), y.astype(float)
+    lo = np.where(y > 0, 0.0, np.where(y < 0, -C[:, None], np.inf))
+    hi = np.where(y > 0, C[:, None], np.where(y < 0, 0.0, -np.inf))
     yl, il, c = y, idx, C
     diag, cap = K.diagonal()[idx], _MAX_SWEEPS * np.count_nonzero(y, axis=1)
     rows, steps = live, 0
     while True:
-        vu, vl = v + up, v + low
+        vu = np.where(s < hi, v, -np.inf)
+        vl = np.where(s > lo, v, np.inf)
         i = vu.argmax(1)
-        top, bottom = vu[rows, i], vl[rows, vl.argmin(1)]
+        top, bottom = vu[rows, i], vl.min(1)
         if on_step is not None and steps:
-            on_step(a[0].copy(), 0.5 * float(top[0] + bottom[0]))
+            on_step(yl[0] * s[0], 0.5 * float(top[0] + bottom[0]))
         ok = top - bottom <= 0.9 * _KKT_TOL  # margin for the final bias
         stop = ok | (steps >= cap)
         if stop.any():
             # a stopped problem's state is final: write it out, drop its row
             done = live[stop]
-            alpha[done], converged[done] = a[stop], ok[stop]
+            alpha[done], converged[done] = yl[stop] * s[stop], ok[stop]
             G[done] = -yl[stop] * v[stop]
             go = np.flatnonzero(~stop)
             if not go.size:
                 break
-            live, a, v, vl, up, low, yl, il, c, diag, cap, i, top = (
-                x[go] for x in (live, a, v, vl, up, low, yl, il, c, diag, cap,
+            live, s, v, vl, lo, hi, yl, il, c, diag, cap, i, top = (
+                x[go] for x in (live, s, v, vl, lo, hi, yl, il, c, diag, cap,
                                 i, top))
             rows = np.arange(live.size)
         Ki = flat[(il[rows, i] * n)[:, None] + il]
@@ -193,16 +195,11 @@ def _smo_batch(K, idx, y, C, gamma, pairs, on_step=None):
         gain = np.maximum(top[:, None] - vl, 0.0)
         j = (gain * gain / quad).argmax(1)
         Kj = flat[(il[rows, j] * n)[:, None] + il]
-        ai, aj = a[rows, i], a[rows, j]
         yi, yj = yl[rows, i], yl[rows, j]
+        ai, aj = yi * s[rows, i], yj * s[rows, j]
         ni, nj = _pair_step(ai, aj, yi, yj, gain[rows, j] / quad[rows, j], c)
         v -= (yi * (ni - ai))[:, None] * Ki + (yj * (nj - aj))[:, None] * Kj
-        for k, yk, nk in ((i, yi, ni), (j, yj, nj)):
-            a[rows, k] = nk
-            up[rows, k] = np.where(np.where(yk > 0, nk < c, nk > 0), 0.0,
-                                   -np.inf)
-            low[rows, k] = np.where(np.where(yk < 0, nk < c, nk > 0), 0.0,
-                                    np.inf)
+        s[rows, i], s[rows, j] = yi * ni, yj * nj
         steps += 1
     if not converged.all():
         p = np.argmin(converged)

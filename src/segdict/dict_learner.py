@@ -22,7 +22,7 @@ unit norm.  A feasibility guard then raises that atom's dual variable by the
 exact amount that returns it to unit norm: by Sherman-Morrison, raising
 lam_w by t divides atom w by 1 + t ((X X^T + Lam)^{-1})_ww, so the step
 costs one refactorization.  It corrects the worst atom first, at most 5 k
-times.
+times, and stops early if a refactorization fails.
 
 Atoms never selected by any code are left at zero by the dual and are
 re-initialized from random data columns so all k atoms stay effective.
@@ -217,8 +217,13 @@ def _newton_dual(X: np.ndarray, Y: np.ndarray, lam: np.ndarray
         if norms2[worst] <= 1.0 + _GUARD_SLACK:
             break
         a_ww = Linv[:, worst] @ Linv[:, worst]      # (A^{-1})_ww
+        lam_w = lam[worst]
         lam[worst] += (np.sqrt(norms2[worst]) - 1.0) / a_ww
-        _, M, Linv = evaluate(lam)
+        try:
+            _, M, Linv = evaluate(lam)
+        except LinAlgError:         # end as if out of corrections
+            lam[worst] = lam_w
+            break
         norms2 = np.einsum("ij,ij->i", M, M)
     return lam, M, history, converged
 

@@ -25,7 +25,10 @@ from zero and ignores any given start.  Either way the search ends on the
 exact solve on its final support and signs: a column leaves as converged
 only from zero or a full step, and one that meets the conditions anywhere
 else (a nonzero start or a sign crossing) is solved once more on its own
-support and signs.
+support and signs.  From a given start near the optimum, rounding can
+leave no line-search candidate that lowers the objective; a column that
+stalls there is solved once more from FISTA's iterate, and only a second
+stall counts.
 
 Feature-sign search runs on a block in lockstep: each round applies the
 next step of the method to every unfinished column of the block at once.
@@ -111,7 +114,8 @@ def _encode(D: np.ndarray, Y: np.ndarray, lam: float,
             start: np.ndarray | None) -> np.ndarray:
     """Solve the columns in blocks of _BLOCK, each from `start` or else
     FISTA's iterate when the gram is positive definite and from zero
-    otherwise; warn once per bad outcome."""
+    otherwise; a column that stalls from `start` is solved once more from
+    FISTA's iterate.  Warn once per bad outcome."""
     n = Y.shape[1]
     G = D.T @ D
     X = np.empty((D.shape[1], n))
@@ -129,6 +133,11 @@ def _encode(D: np.ndarray, Y: np.ndarray, lam: float,
         else:
             x0 = np.ascontiguousarray(start.T[cols])
         X[:, cols], outcome[cols] = _solve_block(G, Dty, lam, cols, x0)
+        redo = np.flatnonzero(outcome[cols] == _STALLED)
+        if start is not None and positive_definite and redo.size:
+            X[:, cols[redo]], outcome[cols[redo]] = _solve_block(
+                G, Dty[redo], lam, cols[redo],
+                _fista(G, Dty[redo], lam, 1.0 / ev[-1]))
     for kind, what in (
             (_STALLED, "stalled (the line search could not decrease the "
                        "objective)"),

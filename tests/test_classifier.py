@@ -277,6 +277,43 @@ def test_batch_equals_a_scalar_wss2_transcription(monkeypatch, max_sweeps):
         assert ok.all() if max_sweeps == 500 else 0 < np.sum(~ok) < 24
 
 
+def test_batch_equals_wss2_where_most_duals_sit_on_the_box():
+    # one-hot VQ codes (4 segments x 16 code words) of 12 distinct beats,
+    # so samples repeat, at the grid's corners: most duals end on a bound
+    # (307 of 562 on C, 113 at 0), and the box decides most selections.
+    # Duals, bias and outcome equal the scalar solver's bit for bit
+    rng = np.random.default_rng(29)
+    sizes = rng.integers(6, 35, size=16)
+    beats = rng.integers(16, size=(4, 12))
+    which = rng.integers(12, size=int(sizes.sum()))
+    X = np.zeros((64, which.size))
+    X[(16 * np.arange(4))[:, None] + beats[:, which],
+      np.arange(which.size)] = 1.0
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
+    idx = np.zeros((16, sizes.max()), dtype=int)
+    y = np.zeros(idx.shape)
+    for p, (s, m) in enumerate(zip(starts, sizes)):
+        idx[p, :m] = np.arange(s, s + m)
+        y[p, :m] = np.where(which[s:s + m] % 2 == 0, 1.0, -1.0)
+        y[p, 0], y[p, 1] = 1.0, -1.0
+    C = np.where(np.arange(16) % 2 == 0, 2.0 ** -3, 2.0 ** 9)
+    on_box = 0
+    for gamma in (2.0 ** -10, 2.0 ** -2):
+        K = rbf_gram(X, X, gamma)
+        alpha, bias, ok = _smo_batch(K, idx, y, C, gamma, [("a", "b")] * 16)
+        for p, m in enumerate(sizes):
+            ix = idx[p, :m]
+            a1, b1, ok1 = svm_wss2(K[np.ix_(ix, ix)], y[p, :m], C[p],
+                                   0.9 * classifier._KKT_TOL,
+                                   classifier._MAX_SWEEPS * m)
+            assert np.array_equal(alpha[p, :m], a1)
+            assert np.all(alpha[p, m:] == 0.0)
+            assert bias[p] == b1 and ok[p] == ok1
+            on_box += np.count_nonzero((a1 == 0.0) | (a1 == C[p]))
+        assert ok.all()
+    assert on_box > 0.7 * 2 * sizes.sum()
+
+
 def test_batch_rejects_a_non_positive_c_of_any_problem():
     X, labels = _blobs("abc", 6, seed=2)
     arr = np.array(labels)

@@ -281,6 +281,23 @@ def test_newton_cap_and_exhausted_guard_warn_naming_the_cause(monkeypatch):
         f"{norm:.12g}")
 
 
+def test_a_failed_guard_factorization_ends_in_the_guard_warning():
+    # 18 atoms in use on 7 columns: a guard correction leaves X X^T + Lam
+    # numerically indefinite, and the guard stops as if out of
+    # corrections, so the call warns and the over-norm atom is refused
+    # instead of a LinAlgError escaping
+    rng = np.random.default_rng(20)
+    X = rng.normal(size=(19, 7)) * (rng.random((19, 7)) < 0.4)
+    Y = rng.normal(size=(4, 7))
+    assert np.count_nonzero(X.any(axis=1)) == 18
+    with pytest.warns(ConvergenceWarning) as caught:
+        with pytest.raises(ValueError, match="^atom norm exceeds 1"):
+            lagrange_dual_update(X, Y)
+    assert len(caught) == 1
+    assert str(caught[0].message).startswith(
+        "segment 1: the feasibility guard ran out of corrections after ")
+
+
 def planted_beats(rng, gamma=12, j_count=2, k=4, n=80, noise=0.0,
                   lo=1.0, hi=2.0):
     spec = SegmentSpec.equal(gamma, j_count)
